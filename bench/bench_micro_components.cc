@@ -196,6 +196,38 @@ void BM_ConvGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvGemm);
 
+// Training backward of the proxy CNN's four conv layers at 416x256 (raster
+// 104x64), arg = layer index: the order-exact weight- and input-gradient
+// kernels plus im2col, per call. The upstream gradient holds exact zeros
+// the way a ReLU passes it back.
+void BM_ConvBackward(benchmark::State& state) {
+  struct Shape {
+    int in_c, out_c, stride, h, w;
+  };
+  static const Shape kShapes[] = {
+      {1, 8, 2, 64, 104}, {8, 16, 2, 32, 52}, {16, 16, 2, 16, 26},
+      {16, 1, 1, 8, 13}};
+  const Shape& s = kShapes[state.range(0)];
+  Rng rng(6);
+  nn::Conv2d conv(s.in_c, s.out_c, 3, s.stride, &rng);
+  nn::Tensor input({s.in_c, s.h, s.w});
+  for (int64_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  }
+  nn::Tensor grad = conv.Infer(input);
+  for (int64_t i = 0; i < grad.size(); ++i) {
+    grad[i] = grad[i] > 0.0f ? static_cast<float>(rng.Uniform(-1.0, 1.0))
+                             : 0.0f;
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    conv.Forward(input);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(conv.Backward(grad));
+  }
+}
+BENCHMARK(BM_ConvBackward)->DenseRange(0, 3);
+
 void BM_CellGrouping(benchmark::State& state) {
   Rng rng(5);
   core::CellGrid grid;

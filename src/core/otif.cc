@@ -49,50 +49,63 @@ void Otif::TrainProxies() {
   // theta_best detections provide the training labels (Sec 3.3).
   const models::DetectorArch arch = models::ArchByName(
       models::StandardDetectorArchs(), theta_best_.detector_arch);
-  models::SimulatedDetector detector(arch);
+  const models::SimulatedDetector detector(arch);
 
   std::vector<std::unique_ptr<sim::Rasterizer>> rasters;
   for (const sim::Clip& clip : train_clips_) {
     rasters.push_back(std::make_unique<sim::Rasterizer>(&clip));
   }
 
+  // Resolutions are independent, so they train concurrently, one model per
+  // task. Each draws its sampler stream from a fork taken up front in
+  // resolution order, and the detector and rasterizers are only read
+  // (Render is mutex-guarded), so every model is bit-identical to a serial
+  // run at any pool width.
+  std::vector<Rng> sampler_rngs;
   for (int r = 0; r < scale_.proxy_resolutions; ++r) {
-    auto proxy = std::make_unique<models::ProxyModel>(
-        resolutions[static_cast<size_t>(r)], spec_.seed * 13 + r);
-    Rng sampler_rng = rng.Fork();
-    auto sampler = [&]() {
-      for (int attempt = 0; attempt < 256; ++attempt) {
-        const size_t ci = static_cast<size_t>(
-            sampler_rng.UniformInt(static_cast<uint64_t>(train_clips_.size())));
-        const sim::Clip& clip = train_clips_[ci];
-        const int f = static_cast<int>(sampler_rng.UniformInt(
-            static_cast<uint64_t>(clip.num_frames())));
-        const track::FrameDetections dets = models::FilterByConfidence(
-            detector.Detect(clip, f, theta_best_.detector_scale),
-            theta_best_.detector_confidence);
-        // Paper: sample frames where theta_best produced detections.
-        if (dets.empty()) continue;
-        models::ProxySample s;
-        s.frame = rasters[ci]->Render(f, proxy->resolution().raster_w(),
-                                      proxy->resolution().raster_h());
-        s.labels = proxy->MakeLabels(dets, spec_.width, spec_.height);
-        return s;
-      }
-      // Sparse dataset fallback: train on an empty frame.
-      models::ProxySample s;
-      const sim::Clip& clip = train_clips_[0];
-      s.frame = rasters[0]->Render(0, proxy->resolution().raster_w(),
-                                   proxy->resolution().raster_h());
-      s.labels = proxy->MakeLabels(
-          models::FilterByConfidence(
-              detector.Detect(clip, 0, theta_best_.detector_scale),
-              theta_best_.detector_confidence),
-          spec_.width, spec_.height);
-      return s;
-    };
-    models::TrainProxyModel(proxy.get(), sampler, scale_.proxy_train_steps);
-    trained_.proxies.push_back(std::move(proxy));
+    sampler_rngs.push_back(rng.Fork());
   }
+  std::vector<std::unique_ptr<models::ProxyModel>> proxies = ParallelMap(
+      ThreadPool::Default(), scale_.proxy_resolutions, [&](int64_t r) {
+        auto proxy = std::make_unique<models::ProxyModel>(
+            resolutions[static_cast<size_t>(r)],
+            spec_.seed * 13 + static_cast<uint64_t>(r));
+        Rng& sampler_rng = sampler_rngs[static_cast<size_t>(r)];
+        auto sampler = [&]() {
+          for (int attempt = 0; attempt < 256; ++attempt) {
+            const size_t ci = static_cast<size_t>(sampler_rng.UniformInt(
+                static_cast<uint64_t>(train_clips_.size())));
+            const sim::Clip& clip = train_clips_[ci];
+            const int f = static_cast<int>(sampler_rng.UniformInt(
+                static_cast<uint64_t>(clip.num_frames())));
+            const track::FrameDetections dets = models::FilterByConfidence(
+                detector.Detect(clip, f, theta_best_.detector_scale),
+                theta_best_.detector_confidence);
+            // Paper: sample frames where theta_best produced detections.
+            if (dets.empty()) continue;
+            models::ProxySample s;
+            s.frame = rasters[ci]->Render(f, proxy->resolution().raster_w(),
+                                          proxy->resolution().raster_h());
+            s.labels = proxy->MakeLabels(dets, spec_.width, spec_.height);
+            return s;
+          }
+          // Sparse dataset fallback: train on an empty frame.
+          models::ProxySample s;
+          const sim::Clip& clip = train_clips_[0];
+          s.frame = rasters[0]->Render(0, proxy->resolution().raster_w(),
+                                       proxy->resolution().raster_h());
+          s.labels = proxy->MakeLabels(
+              models::FilterByConfidence(
+                  detector.Detect(clip, 0, theta_best_.detector_scale),
+                  theta_best_.detector_confidence),
+              spec_.width, spec_.height);
+          return s;
+        };
+        models::TrainProxyModel(proxy.get(), sampler,
+                                scale_.proxy_train_steps);
+        return proxy;
+      });
+  trained_.proxies = std::move(proxies);
   // Simulated training cost: the paper reports <10 min for all proxies;
   // charge proportional to steps at a V100-class rate.
   simulated_training_seconds_ +=

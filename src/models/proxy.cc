@@ -25,11 +25,16 @@ ProxyModel::ProxyModel(ProxyResolution resolution, uint64_t seed)
   net_.Add(std::make_unique<nn::Conv2d>(16, 16, 3, 2, &rng));
   net_.Add(std::make_unique<nn::Relu>());
   net_.Add(std::make_unique<nn::Conv2d>(16, 1, 3, 1, &rng));
-  std::vector<nn::Parameter*> params;
-  net_.CollectParameters(&params);
+  net_.CollectParameters(&params_);
   nn::Adam::Options opts;
   opts.learning_rate = 2e-3;
-  optimizer_ = std::make_unique<nn::Adam>(std::move(params), opts);
+  optimizer_ = std::make_unique<nn::Adam>(params_, opts);
+}
+
+std::vector<const nn::Tensor*> ProxyModel::ParameterValues() const {
+  std::vector<const nn::Tensor*> values;
+  for (const nn::Parameter* p : params_) values.push_back(&p->value);
+  return values;
 }
 
 void ProxyModel::FillInputSlice(const video::Image& frame, nn::Tensor* batch,

@@ -55,7 +55,7 @@ class ProxyModel {
   /// Scores a frame (any resolution; resized to the raster input size).
   /// Returns per-cell probabilities in a (grid_h, grid_w) tensor. Uses the
   /// cache-free inference path, so concurrent calls on a shared trained
-  /// model are safe (training must stay single-threaded).
+  /// model are safe (as long as that model is not training meanwhile).
   nn::Tensor Score(const video::Image& frame) const;
 
   /// Batched Score: one network invocation over a (N, 1, H, W) stack of
@@ -87,12 +87,16 @@ class ProxyModel {
 
   int64_t train_steps() const { return optimizer_->steps_taken(); }
 
+  /// The network's weights and biases in layer order (digests, tests).
+  std::vector<const nn::Tensor*> ParameterValues() const;
+
  private:
   nn::Tensor ImageToTensor(const video::Image& frame) const;
   nn::Tensor ForwardLogits(const video::Image& frame);
 
   ProxyResolution resolution_;
   nn::Sequential net_;
+  std::vector<nn::Parameter*> params_;  // net_'s, in layer order.
   std::unique_ptr<nn::Adam> optimizer_;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "nn/arena.h"
+
 namespace otif::nn {
 namespace {
 
@@ -72,6 +74,37 @@ inline void EdgeKernel(int k, int n, int mb, int nb, const float* a,
   }
 }
 
+// Output indices o in [0, out) whose input index o * stride + off lies in
+// [0, in), as the half-open range [*lo, *hi).
+inline void InFrameRange(int in, int out, int stride, int off, int* lo,
+                         int* hi) {
+  const int first = off >= 0 ? 0 : (-off + stride - 1) / stride;
+  const int last = in - 1 - off;  // Largest in-frame o * stride.
+  *lo = std::min(first, out);
+  *hi = std::clamp(last < 0 ? 0 : last / stride + 1, *lo, out);
+}
+
+// Weight-gradient register block: taps per accumulator tile (the tap rows
+// are padded to a multiple of it) and output positions per compaction chunk.
+constexpr int kTapBlock = 16;
+constexpr int kGradChunk = 256;
+
+// kTapBlock taps of one weight-gradient row over the `count` output
+// positions in `idx` (ascending); the first `nr` lanes are real taps. The
+// accumulators stay in registers while the positions stream past.
+inline void WeightGradBlock(int count, const int* idx, const float* g,
+                            const float* rows, int ldr, int nr, float* gw) {
+  float acc[kTapBlock];
+  for (int j = 0; j < kTapBlock; ++j) acc[j] = j < nr ? gw[j] : 0.0f;
+  for (int t = 0; t < count; ++t) {
+    const int p = idx[t];
+    const float v = g[p];
+    const float* row = rows + static_cast<size_t>(p) * ldr;
+    for (int j = 0; j < kTapBlock; ++j) acc[j] += v * row[j];
+  }
+  for (int j = 0; j < nr; ++j) gw[j] = acc[j];
+}
+
 }  // namespace
 
 void GemmBias(int m, int n, int k, const float* a, const float* b,
@@ -134,12 +167,8 @@ void Im2Col(const float* input, int channels, int h, int w, int kernel,
           }
           const int x_off = kx - pad;  // ix = ox*stride + x_off.
           const float* in_row = plane + static_cast<size_t>(iy) * w;
-          // ox range with in-bounds ix: ceil((-x_off)/stride) <= ox and
-          // ox*stride + x_off < w.
-          int ox_lo = x_off >= 0 ? 0 : (-x_off + stride - 1) / stride;
-          int ox_hi = (w - 1 - x_off) / stride + 1;  // Exclusive.
-          ox_lo = std::min(ox_lo, ow);
-          ox_hi = std::clamp(ox_hi, ox_lo, ow);
+          int ox_lo, ox_hi;
+          InFrameRange(w, ow, stride, x_off, &ox_lo, &ox_hi);
           for (int ox = 0; ox < ox_lo; ++ox) out_row[ox] = 0.0f;
           if (stride == 1) {
             std::memcpy(out_row + ox_lo, in_row + ox_lo + x_off,
@@ -150,6 +179,119 @@ void Im2Col(const float* input, int channels, int h, int w, int kernel,
             }
           }
           for (int ox = ox_hi; ox < ow; ++ox) out_row[ox] = 0.0f;
+        }
+      }
+    }
+  }
+}
+
+void ConvWeightGrad(int m, int n, int k, const float* grad_out,
+                    const float* panel, float* grad_w) {
+  // Transpose the panel so each output position's taps are contiguous,
+  // padding every row to whole tap blocks with zeros.
+  const int ldr = (k + kTapBlock - 1) / kTapBlock * kTapBlock;
+  ScratchArena& arena = ScratchArena::ThreadLocal();
+  ScratchScope scope(arena);
+  float* rows = arena.Alloc(static_cast<size_t>(n) * ldr);
+  for (int p = 0; p < n; ++p) {
+    float* row = rows + static_cast<size_t>(p) * ldr;
+    for (int r = 0; r < k; ++r) row[r] = panel[static_cast<size_t>(r) * n + p];
+    for (int r = k; r < ldr; ++r) row[r] = 0.0f;
+  }
+  int idx[kGradChunk];
+  for (int i = 0; i < m; ++i) {
+    const float* g = grad_out + static_cast<size_t>(i) * n;
+    float* gw = grad_w + static_cast<size_t>(i) * k;
+    for (int p0 = 0; p0 < n; p0 += kGradChunk) {
+      // Compact the chunk's nonzero positions (branch-free), so the zero
+      // skip costs nothing in the tap loop.
+      const int p1 = std::min(n, p0 + kGradChunk);
+      int count = 0;
+      for (int p = p0; p < p1; ++p) {
+        idx[count] = p;
+        count += g[p] != 0.0f ? 1 : 0;
+      }
+      for (int r = 0; r < k; r += kTapBlock) {
+        WeightGradBlock(count, idx, g, rows + r, ldr,
+                        std::min(kTapBlock, k - r), gw + r);
+      }
+    }
+  }
+}
+
+void ConvInputGrad(const float* grad_out, const float* weight,
+                   int in_channels, int out_channels, int h, int w,
+                   int kernel, int stride, int oh, int ow, float* grad_in) {
+  const int pad = kernel / 2;
+  // Accumulate in a phase-split layout: input pixel (jy*stride + qy,
+  // jx*stride + qx) lives at split[ic][qy][qx][jy][jx]. Each phase plane
+  // has the output's oh x ow shape, so a tap maps consecutive output
+  // positions to consecutive buffer elements: every update is a contiguous
+  // axpy, and one over the whole plane when the tap covers full rows. Each
+  // element still gets its own chain, starting at +0.
+  const size_t plane = static_cast<size_t>(oh) * ow;
+  const size_t split_size =
+      static_cast<size_t>(in_channels) * stride * stride * plane;
+  ScratchArena& arena = ScratchArena::ThreadLocal();
+  ScratchScope scope(arena);
+  float* split = arena.Alloc(split_size);
+  std::fill(split, split + split_size, 0.0f);
+  const auto phase = [stride](int off) {
+    return (off % stride + stride) % stride;
+  };
+  for (int oc = 0; oc < out_channels; ++oc) {
+    const float* go = grad_out + static_cast<size_t>(oc) * plane;
+    const float* w_oc =
+        weight + static_cast<size_t>(oc) * in_channels * kernel * kernel;
+    // Descending taps visit each input element's contributions in the
+    // reference's ascending (oy, ox) order.
+    for (int ky = kernel - 1; ky >= 0; --ky) {
+      const int y_off = ky - pad;  // iy = oy*stride + y_off.
+      const int qy = phase(y_off);
+      const int jy_off = (y_off - qy) / stride;  // jy = oy + jy_off.
+      int oy_lo, oy_hi;
+      InFrameRange(h, oh, stride, y_off, &oy_lo, &oy_hi);
+      if (oy_lo == oy_hi) continue;  // Tap row entirely out of frame.
+      for (int kx = kernel - 1; kx >= 0; --kx) {
+        const int x_off = kx - pad;
+        const int qx = phase(x_off);
+        const int jx_off = (x_off - qx) / stride;
+        int ox_lo, ox_hi;
+        InFrameRange(w, ow, stride, x_off, &ox_lo, &ox_hi);
+        const bool full_rows = ox_lo == 0 && ox_hi == ow && jx_off == 0;
+        for (int ic = 0; ic < in_channels; ++ic) {
+          const float wv =
+              w_oc[(static_cast<size_t>(ic) * kernel + ky) * kernel + kx];
+          float* dst = split +
+                       ((static_cast<size_t>(ic) * stride + qy) * stride + qx) *
+                           plane +
+                       static_cast<size_t>(oy_lo + jy_off) * ow;
+          const float* src = go + static_cast<size_t>(oy_lo) * ow;
+          if (full_rows) {
+            const int len = (oy_hi - oy_lo) * ow;
+            for (int t = 0; t < len; ++t) dst[t] += src[t] * wv;
+            continue;
+          }
+          for (int oy = oy_lo; oy < oy_hi; ++oy, dst += ow, src += ow) {
+            for (int ox = ox_lo; ox < ox_hi; ++ox) {
+              dst[ox + jx_off] += src[ox] * wv;
+            }
+          }
+        }
+      }
+    }
+  }
+  const float* src = split;
+  for (int ic = 0; ic < in_channels; ++ic) {
+    float* out = grad_in + static_cast<size_t>(ic) * h * w;
+    for (int qy = 0; qy < stride; ++qy) {
+      for (int qx = 0; qx < stride; ++qx, src += plane) {
+        for (int jy = 0; jy * stride + qy < h; ++jy) {
+          float* out_row = out + static_cast<size_t>(jy * stride + qy) * w;
+          const float* src_row = src + static_cast<size_t>(jy) * ow;
+          for (int jx = 0; jx * stride + qx < w; ++jx) {
+            out_row[jx * stride + qx] = src_row[jx];
+          }
         }
       }
     }

@@ -21,8 +21,8 @@ namespace otif::nn {
 ///   bias + A[i][0]*B[0][j] + A[i][1]*B[1][j] + ... (k ascending)
 /// with no reassociation across k, so the result is bit-identical to the
 /// naive triple loop regardless of the register-blocking used internally.
-/// The batched/GEMM inference path relies on this to reproduce the
-/// reference (training) forward pass exactly.
+/// The conv forward pass (inference and training alike) relies on this to
+/// reproduce the naive reference loops exactly.
 void GemmBias(int m, int n, int k, const float* a, const float* b,
               const float* bias_row, const float* bias_col, float* c);
 
@@ -39,6 +39,46 @@ void GemmBias(int m, int n, int k, const float* a, const float* b,
 /// panel (K x N) with K accumulated in the same order as the naive loops.
 void Im2Col(const float* input, int channels, int h, int w, int kernel,
             int stride, int oh, int ow, float* out);
+
+// --- Conv backward ---------------------------------------------------------
+//
+// The two kernels below reproduce the naive conv backward loops bit-for-bit:
+// that reference visits output positions (oc, oy, ox) in ascending order,
+// skips those whose upstream gradient is zero, and for each in-frame tap
+// adds one product to the weight gradient and one to the input gradient.
+// Each kernel keeps, for every gradient element, exactly that sequence of
+// additions and only vectorizes across independent elements. Terms the
+// reference does not add (out-of-frame taps, zero upstream gradients in the
+// input gradient) are either skipped or add +-0 to a partial sum; with
+// finite inputs that is a no-op, because a sum that starts at +0 never
+// becomes -0 (and gradients start at +0 after every ZeroGrad).
+
+/// Weight gradient: grad_w (m x k) += grad_out (m x n) * panel^T.
+///
+///   grad_out: m x n row-major (output channel x output position)
+///   panel:    k x n, the Im2Col panel of the layer's input
+///   grad_w:   m x k row-major, accumulated in place
+///
+/// Every grad_w[i][r] is one chain starting from its current value,
+///   grad_w[i][r] + g[i][0]*panel[r][0] + g[i][1]*panel[r][1] + ...
+/// over p ascending, with the terms where g[i][p] == 0 skipped.
+void ConvWeightGrad(int m, int n, int k, const float* grad_out,
+                    const float* panel, float* grad_w);
+
+/// Input gradient of a 'same'-padded conv (pad = kernel / 2):
+///
+///   grad_out: (out_channels, oh, ow) row-major
+///   weight:   (out_channels, in_channels, kernel, kernel) row-major
+///   grad_in:  (in_channels, h, w) row-major, fully overwritten
+///
+/// Every grad_in element is one chain, starting at +0, of the products
+/// grad_out[oc][oy][ox] * weight[oc][ic][ky][kx] for each (oc, oy, ox) whose
+/// tap (ky, kx) lands on it, in the order the reference loops reach it: oc
+/// ascending, then (oy, ox) ascending, which for a fixed oc is (ky, kx)
+/// descending. Zero grad_out terms are not skipped (they add +-0).
+void ConvInputGrad(const float* grad_out, const float* weight,
+                   int in_channels, int out_channels, int h, int w,
+                   int kernel, int stride, int oh, int ow, float* grad_in);
 
 }  // namespace otif::nn
 

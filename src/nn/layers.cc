@@ -38,10 +38,8 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
 }
 
 Tensor Conv2d::Forward(const Tensor& input) {
-  // Training keeps the reference loops; the GEMM engine reproduces them
-  // bit-for-bit (tests assert this), but gradients are only defined against
-  // the reference path.
-  Tensor out = InferReference(input);
+  OTIF_CHECK_EQ(input.ndim(), 3) << "training runs one (C, H, W) example";
+  Tensor out = Infer(input);
   cache_.push_back(input);
   return out;
 }
@@ -130,42 +128,28 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   OTIF_CHECK_EQ(grad_output.dim(0), out_channels_);
   OTIF_CHECK_EQ(grad_output.dim(1), oh);
   OTIF_CHECK_EQ(grad_output.dim(2), ow);
-  const int pad = kernel_ / 2;
+  const int k = in_channels_ * kernel_ * kernel_;
+  const int n = oh * ow;
+  const float* go = grad_output.data();
 
-  Tensor grad_in({in_channels_, h, w});
-  float* gw = weight_.grad.data();
-  const float* wdata = weight_.value.data();
+  // Each gradient element gets the naive loops' products in their order
+  // (see gemm.h); only the loop nest around them differs.
   for (int oc = 0; oc < out_channels_; ++oc) {
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        const float go = grad_output.at3(oc, oy, ox);
-        if (go == 0.0f) continue;
-        bias_.grad[oc] += go;
-        const int iy0 = oy * stride_ - pad;
-        const int ix0 = ox * stride_ - pad;
-        for (int ic = 0; ic < in_channels_; ++ic) {
-          const size_t wbase =
-              (static_cast<size_t>(oc) * in_channels_ + ic) * kernel_ *
-              kernel_;
-          for (int ky = 0; ky < kernel_; ++ky) {
-            const int iy = iy0 + ky;
-            if (iy < 0 || iy >= h) continue;
-            const int kx_lo = std::max(0, -ix0);
-            const int kx_hi = std::min(kernel_, w - ix0);
-            const float* in_row = input.data() +
-                                  (static_cast<size_t>(ic) * h + iy) * w + ix0;
-            float* gin_row = grad_in.data() +
-                             (static_cast<size_t>(ic) * h + iy) * w + ix0;
-            const size_t wrow = wbase + static_cast<size_t>(ky) * kernel_;
-            for (int kx = kx_lo; kx < kx_hi; ++kx) {
-              gw[wrow + kx] += go * in_row[kx];
-              gin_row[kx] += go * wdata[wrow + kx];
-            }
-          }
-        }
-      }
+    const float* go_oc = go + static_cast<size_t>(oc) * n;
+    for (int p = 0; p < n; ++p) {
+      if (go_oc[p] != 0.0f) bias_.grad[oc] += go_oc[p];
     }
   }
+  {
+    ScratchArena& arena = ScratchArena::ThreadLocal();
+    ScratchScope scope(arena);
+    float* panel = arena.Alloc(static_cast<size_t>(k) * n);
+    Im2Col(input.data(), in_channels_, h, w, kernel_, stride_, oh, ow, panel);
+    ConvWeightGrad(out_channels_, n, k, go, panel, weight_.grad.data());
+  }
+  Tensor grad_in = Tensor::Uninitialized({in_channels_, h, w});
+  ConvInputGrad(go, weight_.value.data(), in_channels_, out_channels_, h, w,
+                kernel_, stride_, oh, ow, grad_in.data());
   return grad_in;
 }
 

@@ -24,7 +24,9 @@ struct Parameter {
 ///
 /// Infer() computes the same output as Forward() without touching the
 /// activation cache, so it is const and safe to call concurrently from many
-/// threads on a shared trained model (training must stay single-threaded).
+/// threads on a shared trained model. Forward/Backward mutate the layer, so
+/// one model trains on one thread at a time; separate models may train
+/// concurrently.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -50,10 +52,11 @@ class Layer {
 /// integer stride. Output is (out_channels, ceil(H/stride), ceil(W/stride)).
 ///
 /// Infer() runs the im2col + blocked-GEMM engine and additionally accepts a
-/// batched 4-D (N, C, H, W) input, producing (N, out_channels, OH, OW); the
-/// GEMM path is bit-identical to the reference loops (see gemm.h).
-/// Forward()/Backward() — the training path — keep the naive reference
-/// implementation, exposed as InferReference() for cross-checking.
+/// batched 4-D (N, C, H, W) input, producing (N, out_channels, OH, OW).
+/// Forward() is Infer() on one (C, H, W) example plus the activation cache;
+/// Backward() runs the order-exact gradient kernels of gemm.h. Both are
+/// bit-identical to the naive reference loops; the forward one stays
+/// available as InferReference() for cross-checking.
 class Conv2d : public Layer {
  public:
   Conv2d(int in_channels, int out_channels, int kernel, int stride, Rng* rng);
@@ -64,9 +67,8 @@ class Conv2d : public Layer {
   void CollectParameters(std::vector<Parameter*>* out) override;
   void ClearCache() override { cache_.clear(); }
 
-  /// Reference (naive loop) inference over a single 3-D input. Used by the
-  /// training path and by tests/benchmarks as the ground truth the GEMM
-  /// path must reproduce exactly.
+  /// Reference (naive loop) inference over a single 3-D input: the ground
+  /// truth tests and benchmarks hold the GEMM path to, bit for bit.
   Tensor InferReference(const Tensor& input) const;
 
   int in_channels() const { return in_channels_; }

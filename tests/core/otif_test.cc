@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "eval/workload.h"
 #include "query/queries.h"
 #include "track/metrics.h"
+#include "util/thread_pool.h"
 
 namespace otif::core {
 namespace {
@@ -132,6 +135,71 @@ TEST(OtifTest, TracksSupportDownstreamQueries) {
         r.tracks_per_clip[c], p->test[c].spec(), 3.0);
     // No crash and plausible cardinality.
     EXPECT_LE(braking.size(), r.tracks_per_clip[c].size());
+  }
+}
+
+// Prepare's outputs at `threads` default-pool lanes, on a scale small
+// enough to run twice (and under TSan).
+struct PrepareOutputs {
+  std::vector<TunerPoint> curve;
+  std::vector<std::vector<float>> proxy_params;  // Per proxy, flattened.
+};
+
+PrepareOutputs PrepareAtPoolWidth(int threads) {
+  ThreadPool::SetDefaultThreads(threads);
+  RunScale scale;
+  scale.train_clips = 2;
+  scale.valid_clips = 2;
+  scale.test_clips = 1;
+  scale.clip_seconds = 6;
+  scale.proxy_train_steps = 30;
+  scale.tracker_train_steps = 60;
+  scale.proxy_resolutions = 3;
+  scale.window_sample_frames = 8;
+  eval::TrackWorkload workload =
+      eval::MakeTrackWorkload(sim::DatasetId::kSynthetic);
+  Otif otif(workload.spec, scale);
+  const std::vector<sim::Clip> valid = otif.ValidClips();
+  Tuner::Options topts;
+  topts.max_iterations = 2;
+  otif.Prepare(workload.MakeAccuracyFn(&valid), topts);
+  PrepareOutputs out;
+  out.curve = otif.curve();
+  for (const auto& proxy : otif.trained().proxies) {
+    std::vector<float> flat;
+    for (const nn::Tensor* t : proxy->ParameterValues()) {
+      flat.insert(flat.end(), t->data(), t->data() + t->size());
+    }
+    out.proxy_params.push_back(std::move(flat));
+  }
+  return out;
+}
+
+TEST(OtifTest, PrepareIsIdenticalAcrossPoolWidths) {
+  // Proxy resolutions train concurrently and the tuner fans out over the
+  // pool; neither may let the pool width leak into any output.
+  const int saved = ThreadPool::Default()->num_threads();
+  const PrepareOutputs serial = PrepareAtPoolWidth(1);
+  const PrepareOutputs wide = PrepareAtPoolWidth(4);
+  ThreadPool::SetDefaultThreads(saved);
+
+  ASSERT_EQ(serial.curve.size(), wide.curve.size());
+  for (size_t i = 0; i < serial.curve.size(); ++i) {
+    EXPECT_EQ(serial.curve[i].config.ToString(),
+              wide.curve[i].config.ToString()) << "point " << i;
+    EXPECT_EQ(serial.curve[i].val_seconds, wide.curve[i].val_seconds)
+        << "point " << i;
+    EXPECT_EQ(serial.curve[i].val_accuracy, wide.curve[i].val_accuracy)
+        << "point " << i;
+  }
+  ASSERT_EQ(serial.proxy_params.size(), 3u);
+  ASSERT_EQ(serial.proxy_params.size(), wide.proxy_params.size());
+  for (size_t r = 0; r < serial.proxy_params.size(); ++r) {
+    const std::vector<float>& a = serial.proxy_params[r];
+    const std::vector<float>& b = wide.proxy_params[r];
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << "proxy " << r << " parameters differ";
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "models/detector.h"
@@ -157,6 +159,80 @@ TEST(ProxyModelTest, MakeLabelsMarksIntersectingCells) {
   }
   EXPECT_GE(positives, 1);
   EXPECT_LT(positives, labels.size() / 2);
+}
+
+// FNV-1a64 over the bytes of every parameter, in layer order.
+uint64_t ParameterDigest(const ProxyModel& model) {
+  uint64_t h = 14695981039346656037ull;
+  for (const nn::Tensor* t : model.ParameterValues()) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(t->data());
+    const size_t n = static_cast<size_t>(t->size()) * sizeof(float);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(ProxyModelTest, TrainingMatchesGoldenDigest) {
+  // A fixed reference across commits, not only a pairwise check: 20 steps
+  // from a fixed sampler must leave bit-identical parameters. Change the
+  // constant only in a change meant to alter training output, and say why
+  // in CHANGES.md.
+  constexpr uint64_t kGolden = 0x3f6230b2fd073b2bull;
+  sim::DatasetSpec spec = sim::MakeDataset(sim::DatasetId::kSynthetic);
+  sim::Clip clip = sim::SimulateClip(spec, 5, 200);
+  sim::Rasterizer raster(&clip);
+  ProxyModel model({416, 256}, 3);
+  int step = 0;
+  auto sampler = [&]() {
+    const int f = (step++ * 37) % clip.num_frames();
+    ProxySample s;
+    s.frame = raster.Render(f, model.resolution().raster_w(),
+                            model.resolution().raster_h());
+    s.labels = model.MakeLabels(clip.GroundTruthDetections(f), spec.width,
+                                spec.height);
+    return s;
+  };
+  TrainProxyModel(&model, sampler, 20);
+  EXPECT_EQ(ParameterDigest(model), kGolden);
+}
+
+TEST(ProxyTrainingConcurrencyTest, ModelsSharingRasterizerAndDetector) {
+  // Otif::TrainProxies trains one model per resolution concurrently, all
+  // reading one detector and one rasterizer per clip. Two models trained
+  // that way on two threads must match the same models trained one after
+  // the other, bit for bit (and run clean under TSan).
+  sim::DatasetSpec spec = sim::MakeDataset(sim::DatasetId::kSynthetic);
+  const sim::Clip clip = sim::SimulateClip(spec, 8, 120);
+  sim::Rasterizer raster(&clip);
+  const SimulatedDetector detector(
+      ArchByName(StandardDetectorArchs(), "yolov3"));
+  const ProxyResolution resolutions[2] = {{416, 256}, {224, 128}};
+  auto train = [&](int i) {
+    ProxyModel model(resolutions[i], 40 + i);
+    Rng rng(50 + i);
+    auto sampler = [&]() {
+      const int f = static_cast<int>(
+          rng.UniformInt(static_cast<uint64_t>(clip.num_frames())));
+      ProxySample s;
+      s.frame = raster.Render(f, model.resolution().raster_w(),
+                              model.resolution().raster_h());
+      s.labels = model.MakeLabels(
+          FilterByConfidence(detector.Detect(clip, f, 1.0), 0.4), spec.width,
+          spec.height);
+      return s;
+    };
+    TrainProxyModel(&model, sampler, 12);
+    return ParameterDigest(model);
+  };
+  uint64_t concurrent[2] = {0, 0};
+  std::thread other([&] { concurrent[1] = train(1); });
+  concurrent[0] = train(0);
+  other.join();
+  EXPECT_EQ(concurrent[0], train(0));
+  EXPECT_EQ(concurrent[1], train(1));
 }
 
 TEST(ProxyModelTest, LearnsToLocalizeObjects) {

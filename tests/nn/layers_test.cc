@@ -418,14 +418,147 @@ TEST(Conv2dTest, BatchedInferMatchesPerSampleExactly) {
   }
 }
 
-TEST(Conv2dTest, ForwardStillUsesReferencePath) {
+TEST(Conv2dTest, ForwardMatchesReferenceBitForBit) {
+  // Training's Forward runs the GEMM engine; it must equal the naive
+  // reference loops exactly for every stride, kernel size and channel
+  // count, including odd frames and frames smaller than the kernel.
   Rng rng(13);
-  Conv2d conv(2, 3, 3, 1, &rng);
-  const Tensor input = RandomTensor({2, 6, 6}, &rng);
-  const Tensor fwd = conv.Forward(input);
-  conv.ClearCache();
-  const Tensor ref = conv.InferReference(input);
-  for (int64_t i = 0; i < ref.size(); ++i) ASSERT_EQ(ref[i], fwd[i]);
+  const int channel_pairs[][2] = {{1, 8}, {3, 5}, {8, 16}, {16, 1}};
+  const int frames[][2] = {{7, 9}, {13, 11}, {2, 3}, {5, 1}, {3, 2}};
+  for (const int stride : {1, 2}) {
+    for (const int kernel : {1, 3, 5}) {
+      for (const auto& ch : channel_pairs) {
+        for (const auto& hw : frames) {
+          Conv2d conv(ch[0], ch[1], kernel, stride, &rng);
+          const Tensor input = RandomTensor({ch[0], hw[0], hw[1]}, &rng);
+          const Tensor want = conv.InferReference(input);
+          const Tensor got = conv.Forward(input);
+          conv.ClearCache();
+          ASSERT_EQ(want.shape(), got.shape());
+          for (int64_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(want[i], got[i])
+                << "ic=" << ch[0] << " oc=" << ch[1] << " k=" << kernel
+                << " s=" << stride << " h=" << hw[0] << " w=" << hw[1]
+                << " at " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The naive conv backward loops: the oracle Conv2d::Backward must reproduce
+// bit for bit. Accumulates into `grad_w` / `grad_b`; returns dL/dinput.
+Tensor ReferenceConvBackward(const Tensor& input, const Tensor& weight,
+                             int kernel, int stride, const Tensor& grad_output,
+                             Tensor* grad_w, Tensor* grad_b) {
+  const int in_c = input.dim(0), h = input.dim(1), w = input.dim(2);
+  const int out_c = grad_output.dim(0);
+  const int oh = grad_output.dim(1), ow = grad_output.dim(2);
+  const int pad = kernel / 2;
+  Tensor grad_in({in_c, h, w});
+  float* gw = grad_w->data();
+  const float* wdata = weight.data();
+  for (int oc = 0; oc < out_c; ++oc) {
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        const float go = grad_output.at3(oc, oy, ox);
+        if (go == 0.0f) continue;
+        (*grad_b)[oc] += go;
+        const int iy0 = oy * stride - pad;
+        const int ix0 = ox * stride - pad;
+        for (int ic = 0; ic < in_c; ++ic) {
+          const size_t wbase =
+              (static_cast<size_t>(oc) * in_c + ic) * kernel * kernel;
+          for (int ky = 0; ky < kernel; ++ky) {
+            const int iy = iy0 + ky;
+            if (iy < 0 || iy >= h) continue;
+            const int kx_lo = std::max(0, -ix0);
+            const int kx_hi = std::min(kernel, w - ix0);
+            const float* in_row =
+                input.data() + (static_cast<size_t>(ic) * h + iy) * w + ix0;
+            float* gin_row =
+                grad_in.data() + (static_cast<size_t>(ic) * h + iy) * w + ix0;
+            const size_t wrow = wbase + static_cast<size_t>(ky) * kernel;
+            for (int kx = kx_lo; kx < kx_hi; ++kx) {
+              gw[wrow + kx] += go * in_row[kx];
+              gin_row[kx] += go * wdata[wrow + kx];
+            }
+          }
+        }
+      }
+    }
+  }
+  return grad_in;
+}
+
+// An upstream gradient as a ReLU would pass it back: random where the
+// unit was active, exactly zero elsewhere.
+Tensor PostReluGrad(std::vector<int> shape, Rng* rng) {
+  Tensor g = RandomTensor(std::move(shape), rng);
+  for (int64_t i = 0; i < g.size(); ++i) {
+    if (rng->Uniform(0.0, 1.0) < 0.4) g[i] = 0.0f;
+  }
+  return g;
+}
+
+void ExpectBitIdentical(const Tensor& want, const Tensor& got,
+                        const char* what) {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  for (int64_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i], got[i]) << what << " at " << i;
+  }
+}
+
+TEST(Conv2dTest, BackwardMatchesReferenceLoopsBitForBit) {
+  // Two Forward/Backward pairs (LIFO) per layer, so the second backward
+  // accumulates onto nonzero weight and bias gradients, with upstream
+  // gradients that hold exact zeros.
+  Rng rng(15);
+  struct Case {
+    int in_c, out_c, kernel, stride, h, w;
+  };
+  const Case cases[] = {
+      {1, 8, 3, 2, 64, 104}, {8, 16, 3, 2, 32, 52}, {16, 16, 3, 2, 16, 26},
+      {16, 1, 3, 1, 8, 13},  {3, 5, 5, 1, 9, 7},    {2, 4, 5, 2, 11, 13},
+      {4, 3, 1, 2, 7, 9},    {2, 3, 3, 3, 10, 11},  {3, 2, 5, 2, 2, 3},
+      {5, 17, 3, 1, 7, 21},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "ic=" << c.in_c << " oc=" << c.out_c << " k=" << c.kernel
+                 << " s=" << c.stride << " h=" << c.h << " w=" << c.w);
+    Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, &rng);
+    std::vector<Parameter*> params;
+    conv.CollectParameters(&params);
+    for (int64_t i = 0; i < params[1]->value.size(); ++i) {
+      params[1]->value[i] = static_cast<float>(rng.Uniform(-0.5, 0.5));
+    }
+    Tensor want_gw(params[0]->value.shape());
+    Tensor want_gb(params[1]->value.shape());
+    const Tensor a = RandomTensor({c.in_c, c.h, c.w}, &rng);
+    const Tensor b = RandomTensor({c.in_c, c.h, c.w}, &rng);
+    const Tensor out_a = conv.Forward(a);
+    const Tensor out_b = conv.Forward(b);
+    const Tensor grad_b = PostReluGrad(out_b.shape(), &rng);
+    const Tensor grad_a = PostReluGrad(out_a.shape(), &rng);
+
+    const Tensor got_b = conv.Backward(grad_b);
+    const Tensor want_b =
+        ReferenceConvBackward(b, params[0]->value, c.kernel, c.stride, grad_b,
+                              &want_gw, &want_gb);
+    ExpectBitIdentical(want_b, got_b, "grad_in (first backward)");
+    ExpectBitIdentical(want_gw, params[0]->grad, "weight grad (first)");
+    ExpectBitIdentical(want_gb, params[1]->grad, "bias grad (first)");
+
+    const Tensor got_a = conv.Backward(grad_a);
+    const Tensor want_a =
+        ReferenceConvBackward(a, params[0]->value, c.kernel, c.stride, grad_a,
+                              &want_gw, &want_gb);
+    ExpectBitIdentical(want_a, got_a, "grad_in (second backward)");
+    ExpectBitIdentical(want_gw, params[0]->grad, "weight grad (second)");
+    ExpectBitIdentical(want_gb, params[1]->grad, "bias grad (second)");
+  }
 }
 
 TEST(LinearTest, BatchedInferMatchesPerRowExactly) {

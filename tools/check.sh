@@ -392,14 +392,15 @@ fi
 
 echo "== tsan: build concurrency tests =="
 cmake -B build-tsan -S . -DOTIF_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target util_test mem_test core_test obs_test
+cmake --build build-tsan -j --target util_test mem_test core_test obs_test models_test
 
 echo "== tsan: run concurrency tests =="
 ./build-tsan/tests/util_test \
   --gtest_filter='ThreadPool*:Telemetry*:Trace*:TraceTimeline*:FaultInjection*'
 ./build-tsan/tests/mem_test --gtest_filter='BufferPool*'
+./build-tsan/tests/models_test --gtest_filter='ProxyTrainingConcurrency*'
 ./build-tsan/tests/core_test \
-  --gtest_filter='PipelineStagesDeterminismTest.*:ProxyScoreCache*:PipelineTelemetry*:Channel*:CrossClipBatcher*:StreamingExecutor*'
+  --gtest_filter='PipelineStagesDeterminismTest.*:ProxyScoreCache*:PipelineTelemetry*:Channel*:CrossClipBatcher*:StreamingExecutor*:OtifTest.PrepareIsIdenticalAcrossPoolWidths'
 # Profiler live-sampling tests self-skip under TSan (the profiler refuses
 # to start there); the filter still exercises the renderers, option
 # validation, and the refusal path.
