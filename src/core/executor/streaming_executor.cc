@@ -241,16 +241,16 @@ struct ClipWork {
   ClipWork(const PipelineConfig& config, const TrainedModels* trained,
            const sim::Clip& c, const models::DetectorArch& arch)
       : clip(&c),
-        raster(&c),
+        source(c, config, trained),
         decode(config, c),
-        proxy(config, trained, c, arch, &raster),
+        proxy(config, trained, c, arch),
         detect(config, c, arch),
-        track(config, trained, c, &raster),
+        track(config, trained, c),
         refine(config, trained, c),
         stages{&decode, &proxy, &detect, &track, &refine} {}
 
   const sim::Clip* clip;
-  sim::Rasterizer raster;
+  FrameSource source;  // Low-res frames for this clip's contexts.
   DecodeStage decode;
   ProxyStage proxy;
   DetectStage detect;
@@ -437,15 +437,19 @@ void SourceLoop(StreamingExecutor::RunState* s, const PipelineConfig& config,
     Group g;
     g.clip_index = cur.clip_index;
     g.group_index = cur.group++;
-    // Fresh contexts per group; their frame buffers (low_res_frame and the
+    // Fresh contexts per group, bound to the clip's frame source; their
+    // frame buffers (the low-res render, if a stage asks for one, and the
     // stage tensors filled downstream) recycle through the shared
     // mem::BufferPool, so per-group construction stays heap-quiet once the
     // pool is warm.
+    FrameSource* const source =
+        &s->clips[static_cast<size_t>(cur.clip_index)]->source;
     g.ctxs.reserve(static_cast<size_t>(config.frame_batch));
     for (int b = 0; b < config.frame_batch && cur.frame < clip.num_frames();
          ++b, cur.frame += config.sampling_gap) {
       FrameContext ctx;
       ctx.frame = cur.frame;
+      ctx.source = source;
       g.ctxs.push_back(std::move(ctx));
     }
     if (cur.frame >= clip.num_frames()) {

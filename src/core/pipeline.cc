@@ -144,16 +144,17 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
   PipelineResult result;
   const models::DetectorArch arch = models::ArchByName(
       models::StandardDetectorArchs(), config_.detector_arch);
-  // Per-run render service shared by the proxy and tracking stages (its
-  // background cache makes it non-reentrant, so it must not outlive the run).
-  sim::Rasterizer raster(&clip);
+  // Per-run source of the low-res frames the proxy and tracking stages ask
+  // for on demand (its background cache is per clip, so it must not outlive
+  // the run).
+  FrameSource source(clip, config_, trained_);
 
   // The stage sequence (paper Fig 2). Stages are per-run scoped and
   // communicate only through the FrameContext and the result clock.
   DecodeStage decode(config_, clip);
-  ProxyStage proxy(config_, trained_, clip, arch, &raster);
+  ProxyStage proxy(config_, trained_, clip, arch);
   DetectStage detect(config_, clip, arch);
-  TrackStage track(config_, trained_, clip, &raster);
+  TrackStage track(config_, trained_, clip);
   RefineStage refine(config_, trained_, clip);
   Stage* const stages[] = {&decode, &proxy, &detect, &track, &refine};
   const auto& stage_telemetry = GetStageTelemetry();
@@ -176,6 +177,7 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
   // not reconstruct FrameContexts — or their video::Image buffers — for
   // every batch.
   std::vector<FrameContext> ctxs(static_cast<size_t>(config_.frame_batch));
+  for (FrameContext& ctx : ctxs) ctx.source = &source;
   std::vector<FrameContext*> batch;
   batch.reserve(ctxs.size());
   for (int f = 0; f < clip.num_frames();) {

@@ -58,6 +58,29 @@ double SimulatedDecodeSeconds(const PipelineConfig& config,
                            px_per_frame * costs.decode_sec_per_pixel);
 }
 
+// --- FrameSource ------------------------------------------------------------
+
+FrameSource::FrameSource(const sim::Clip& clip, const PipelineConfig& config,
+                         const TrainedModels* trained)
+    : raster_(&clip) {
+  if (!config.use_proxy) return;
+  const models::ProxyResolution& res =
+      trained->proxies[static_cast<size_t>(config.proxy_resolution_index)]
+          ->resolution();
+  proxy_w_ = res.raster_w();
+  proxy_h_ = res.raster_h();
+}
+
+std::pair<int, int> FrameSource::LowResSize(bool proxy_ran) const {
+  if (proxy_ran) return {proxy_w_, proxy_h_};
+  return {40, 24};
+}
+
+void FrameSource::RenderLowRes(int frame, bool proxy_ran, video::Image* out) {
+  const auto [w, h] = LowResSize(proxy_ran);
+  raster_.RenderInto(frame, w, h, out);
+}
+
 // --- DecodeStage ------------------------------------------------------------
 
 DecodeStage::DecodeStage(const PipelineConfig& config, const sim::Clip& clip)
@@ -78,13 +101,11 @@ void DecodeStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
 
 ProxyStage::ProxyStage(const PipelineConfig& config,
                        const TrainedModels* trained, const sim::Clip& clip,
-                       const models::DetectorArch& arch,
-                       sim::Rasterizer* raster)
+                       const models::DetectorArch& arch)
     : config_(config),
       trained_(config.use_proxy ? trained : nullptr),
       clip_(clip),
-      arch_(arch),
-      raster_(raster) {
+      arch_(arch) {
   if (trained_ == nullptr) return;
   proxy_ = trained_->proxies[static_cast<size_t>(
                                  config_.proxy_resolution_index)]
@@ -108,7 +129,6 @@ void ProxyStage::ChargeFrame(PipelineResult* result) {
 }
 
 void ProxyStage::ComputeWindows(const nn::Tensor& scores, FrameContext* ctx) {
-  ctx->proxy_ran = true;
   const CellGrid grid = CellGrid::FromScores(scores, config_.proxy_threshold);
   if (grid.CountPositive() == 0) {
     // Nothing in the frame: downstream stages skip the detector entirely.
@@ -130,20 +150,22 @@ void ProxyStage::ComputeWindows(const nn::Tensor& scores, FrameContext* ctx) {
 
 void ProxyStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
   if (proxy_ == nullptr) return;
-  {
-    OTIF_SPAN("proxy/render");
-    raster_->RenderInto(ctx->frame, proxy_->resolution().raster_w(),
-                        proxy_->resolution().raster_h(), &ctx->low_res_frame);
-  }
-  ctx->have_low_res_frame = true;
+  // Marked before any pixel request: it selects the proxy resolution.
+  ctx->proxy_ran = true;
   // Cell scores are cached across tuner evaluations (many thresholds score
-  // the same frames); the cache is shared and thread-safe.
+  // the same frames); the cache is shared and thread-safe. Only a miss
+  // renders the frame.
   const ProxyScoreCache::Key key = std::make_tuple(
       clip_.clip_seed(), ctx->frame, config_.proxy_resolution_index);
   const nn::Tensor scores = [&] {
     OTIF_SPAN("proxy/score");
-    return trained_->proxy_cache.GetOrCompute(
-        key, [&] { return proxy_->Score(ctx->low_res_frame); });
+    return trained_->proxy_cache.GetOrCompute(key, [&] {
+      const video::Image& frame = [&]() -> const video::Image& {
+        OTIF_SPAN("proxy/render");
+        return ctx->LowResFrame();
+      }();
+      return proxy_->Score(frame);
+    });
   }();
   ChargeFrame(result);
   ComputeWindows(scores, ctx);
@@ -151,47 +173,45 @@ void ProxyStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
 
 void ProxyStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
   if (proxy_ == nullptr) return;
-  // Render every frame up front so the cache misses can be scored in one
-  // batched network invocation.
-  for (FrameContext* ctx : batch) {
-    OTIF_SPAN("proxy/render");
-    raster_->RenderInto(ctx->frame, proxy_->resolution().raster_w(),
-                        proxy_->resolution().raster_h(), &ctx->low_res_frame);
-    ctx->have_low_res_frame = true;
-  }
-
+  const auto key_of = [&](const FrameContext* ctx) {
+    return std::make_tuple(clip_.clip_seed(), ctx->frame,
+                           config_.proxy_resolution_index);
+  };
   std::vector<nn::Tensor> scores(batch.size());
   std::vector<size_t> missing;
   {
     OTIF_SPAN("proxy/score");
     for (size_t i = 0; i < batch.size(); ++i) {
-      const ProxyScoreCache::Key key =
-          std::make_tuple(clip_.clip_seed(), batch[i]->frame,
-                          config_.proxy_resolution_index);
-      if (!trained_->proxy_cache.Lookup(key, &scores[i])) missing.push_back(i);
+      // Marked before any pixel request: it selects the proxy resolution.
+      batch[i]->proxy_ran = true;
+      if (!trained_->proxy_cache.Lookup(key_of(batch[i]), &scores[i])) {
+        missing.push_back(i);
+      }
     }
-    if (!missing.empty()) {
-      std::vector<const video::Image*> frames;
-      frames.reserve(missing.size());
-      for (size_t i : missing) frames.push_back(&batch[i]->low_res_frame);
-      std::vector<nn::Tensor> fresh;
-      if (score_batch_fn_) {
-        fresh = score_batch_fn_(*proxy_, frames);
-      } else {
-        fresh = proxy_->ScoreBatch(frames);
-        if (telemetry::Enabled()) {
-          ProxyInvocationFrames()->Record(
-              static_cast<double>(frames.size()));
-        }
+  }
+  if (!missing.empty()) {
+    // Only the cache misses need pixels: render them, then score them in
+    // one batched network invocation.
+    std::vector<const video::Image*> frames;
+    frames.reserve(missing.size());
+    for (size_t i : missing) {
+      OTIF_SPAN("proxy/render");
+      frames.push_back(&batch[i]->LowResFrame());
+    }
+    OTIF_SPAN("proxy/score");
+    std::vector<nn::Tensor> fresh;
+    if (score_batch_fn_) {
+      fresh = score_batch_fn_(*proxy_, frames);
+    } else {
+      fresh = proxy_->ScoreBatch(frames);
+      if (telemetry::Enabled()) {
+        ProxyInvocationFrames()->Record(static_cast<double>(frames.size()));
       }
-      for (size_t m = 0; m < missing.size(); ++m) {
-        const size_t i = missing[m];
-        const ProxyScoreCache::Key key =
-            std::make_tuple(clip_.clip_seed(), batch[i]->frame,
-                            config_.proxy_resolution_index);
-        scores[i] =
-            trained_->proxy_cache.Insert(key, std::move(fresh[m]));
-      }
+    }
+    for (size_t m = 0; m < missing.size(); ++m) {
+      const size_t i = missing[m];
+      scores[i] =
+          trained_->proxy_cache.Insert(key_of(batch[i]), std::move(fresh[m]));
     }
   }
 
@@ -387,9 +407,8 @@ void DetectStage::EndClip(PipelineResult* result) {
 // --- TrackStage -------------------------------------------------------------
 
 TrackStage::TrackStage(const PipelineConfig& config,
-                       const TrainedModels* trained, const sim::Clip& clip,
-                       sim::Rasterizer* raster)
-    : config_(config), clip_(clip), raster_(raster) {
+                       const TrainedModels* trained, const sim::Clip& clip)
+    : config_(config), clip_(clip) {
   const sim::DatasetSpec& spec = clip_.spec();
   if (config_.tracker == TrackerKind::kSort) {
     sort_tracker_ = std::make_unique<track::SortTracker>();
@@ -415,19 +434,18 @@ void TrackStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
     return;
   }
 
-  // Appearance statistics from a low-res render (reuse the proxy stage's
-  // when available; otherwise render at the smallest standard proxy
-  // resolution — charged as tracker time).
+  // Appearance statistics from the frame's low-res render (charged as
+  // tracker time). A frame without detections needs no pixels and is not
+  // rendered.
   const sim::DatasetSpec& spec = clip_.spec();
-  if (!ctx->have_low_res_frame) {
-    raster_->RenderInto(ctx->frame, 40, 24, &ctx->low_res_frame);
-    ctx->have_low_res_frame = true;
-  }
   std::vector<std::pair<double, double>> appearance;
-  appearance.reserve(dets.size());
-  for (const track::Detection& d : dets) {
-    appearance.push_back(models::TrackerNet::AppearanceStats(
-        ctx->low_res_frame, d.box, spec.width, spec.height));
+  if (!dets.empty()) {
+    const video::Image& low_res = ctx->LowResFrame();
+    appearance.reserve(dets.size());
+    for (const track::Detection& d : dets) {
+      appearance.push_back(models::TrackerNet::AppearanceStats(
+          low_res, d.box, spec.width, spec.height));
+    }
   }
   const int64_t pairs_before = recurrent_tracker_->pair_scores_computed();
   recurrent_tracker_->ProcessFrameWithAppearance(ctx->frame, dets, appearance);

@@ -2,6 +2,7 @@
 #define OTIF_CORE_STAGES_H_
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/cell_grouping.h"
@@ -16,27 +17,56 @@
 
 namespace otif::core {
 
+/// A run's source of low-resolution frames: the clip's rasterizer plus the
+/// rule that picks the render size. One per Pipeline::Run (one per clip in
+/// the streaming executor); every FrameContext of the run points at it.
+/// Rendering is thread-safe and deterministic in (frame, width, height), so
+/// any stage worker may render through it.
+class FrameSource {
+ public:
+  /// `clip` must outlive the source; `trained` is read only when the config
+  /// enables the proxy.
+  FrameSource(const sim::Clip& clip, const PipelineConfig& config,
+              const TrainedModels* trained);
+
+  /// Renders `frame` at LowResSize(proxy_ran) into `out`, reusing its
+  /// pixel buffer when the capacity fits.
+  void RenderLowRes(int frame, bool proxy_ran, video::Image* out);
+
+ private:
+  /// The resolution rule. A frame the proxy ran on (FrameContext::proxy_ran)
+  /// renders at the proxy's input size, so the proxy and the recurrent
+  /// tracker read one render. Any other frame (proxy off, or a streaming
+  /// clip degraded to full-frame detection) renders at 40x24, the smallest
+  /// standard proxy input.
+  std::pair<int, int> LowResSize(bool proxy_ran) const;
+
+  sim::Rasterizer raster_;
+  int proxy_w_ = 0;  // Proxy input size; 0 when the proxy is off.
+  int proxy_h_ = 0;
+};
+
 /// Per-frame blackboard the stages communicate through (paper Fig 2 data
 /// flow). Each stage reads what upstream stages wrote and appends its own
 /// outputs; nothing else is shared between stages for a frame.
 ///
 /// Ownership rules: a FrameContext is created empty by the pipeline driver
 /// for every sampled frame and dropped after the last stage ran. Fields are
-/// owned by the context; the writing stage is named per field.
+/// owned by the context; the writing stage is named per field. Pixels are
+/// not a field any stage writes: LowResFrame() renders the frame on demand,
+/// so a frame nobody reads is never rendered.
 struct FrameContext {
   /// Frame index within the clip (set by the driver).
   int frame = 0;
+  /// Where LowResFrame() renders from (set by the driver; not owned).
+  FrameSource* source = nullptr;
 
   // --- Written by ProxyStage ---
-  /// True when the proxy module ran on this frame (use_proxy configs).
+  /// True when the proxy module ran on this frame (use_proxy configs). Set
+  /// before the proxy asks for pixels: it selects the render size.
   bool proxy_ran = false;
   /// Proxy saw an empty frame: the detector can be skipped entirely.
   bool skip_detector = false;
-  /// Low-resolution render of the frame (reused by TrackStage for
-  /// appearance statistics when available). Pixels come from the shared
-  /// mem::BufferPool and are re-rendered in place across batches.
-  video::Image low_res_frame;
-  bool have_low_res_frame = false;
   /// Native-coordinate detector windows covering positive proxy cells.
   std::vector<geom::BBox> windows;
   /// Detector-resolution sizes of the placed windows (drawn from the fixed
@@ -54,21 +84,40 @@ struct FrameContext {
   /// detector); folded into the per-clip mean at commit time.
   double window_coverage = 1.0;
 
+  /// The frame's low-resolution render at the size FrameSource's
+  /// resolution rule picks from proxy_ran, rendered on first use and
+  /// memoized until Reset. Only two consumers ask: ProxyStage for its
+  /// score-cache misses, and TrackStage's recurrent path for frames with at
+  /// least one detection. The render runs on the asking thread, so its wall
+  /// time lands in the asking stage. Pixels come from the shared
+  /// mem::BufferPool.
+  const video::Image& LowResFrame() {
+    if (!low_res_ready_) {
+      source->RenderLowRes(frame, proxy_ran, &low_res_frame_);
+      low_res_ready_ = true;
+    }
+    return low_res_frame_;
+  }
+
   /// Re-arms the context for frame `frame`, clearing every per-frame field
-  /// while keeping the low_res_frame pixel buffer (and the vectors'
+  /// while keeping the source, the low-res pixel buffer (and the vectors'
   /// capacity) alive so the driver can reuse one context slot per batch
   /// lane without reallocating.
   void Reset(int new_frame) {
     frame = new_frame;
     proxy_ran = false;
     skip_detector = false;
-    have_low_res_frame = false;
+    low_res_ready_ = false;
     windows.clear();
     window_sizes.clear();
     windowed_detect_seconds = 0.0;
     detections.clear();
     window_coverage = 1.0;
   }
+
+ private:
+  video::Image low_res_frame_;
+  bool low_res_ready_ = false;
 };
 
 /// One stage of the per-clip execution pipeline. Stages are constructed per
@@ -83,7 +132,7 @@ struct FrameContext {
 /// clock; no stage reaches into another's internals.
 ///
 /// Compute/commit split: ProxyStage and DetectStage additionally expose
-/// ComputeBatch (pure per-frame work: rendering, model invocations,
+/// ComputeBatch (pure per-frame work: rendering misses, model invocations,
 /// window grouping — writes only FrameContext fields, no stage or result
 /// mutation) and CommitBatch (ordered side effects: SimClock charges,
 /// coverage accumulation, counters). ProcessBatch == ComputeBatch followed
@@ -129,10 +178,12 @@ class DecodeStage : public Stage {
   const sim::Clip& clip_;
 };
 
-/// Runs the segmentation proxy model: renders the frame at the proxy
-/// resolution, scores cells (through the shared ProxyScoreCache), groups
+/// Runs the segmentation proxy model: looks up each frame's cell scores in
+/// the shared ProxyScoreCache, renders and scores only the misses, groups
 /// positive cells into detector windows, and publishes the windows plus the
-/// windowed detector cost estimate. No-op when the proxy is disabled.
+/// windowed detector cost estimate. A cache hit needs no pixels, so a frame
+/// whose scores are cached is never rendered here. No-op when the proxy is
+/// disabled.
 class ProxyStage : public Stage {
  public:
   /// Batched scoring hook: scores the given rendered frames (cache misses
@@ -146,21 +197,21 @@ class ProxyStage : public Stage {
       const std::vector<const video::Image*>& frames)>;
 
   ProxyStage(const PipelineConfig& config, const TrainedModels* trained,
-             const sim::Clip& clip, const models::DetectorArch& arch,
-             sim::Rasterizer* raster);
+             const sim::Clip& clip, const models::DetectorArch& arch);
 
   /// Replaces the batched scoring invocation (streaming executor hook).
   void set_score_batch_fn(ScoreBatchFn fn) { score_batch_fn_ = std::move(fn); }
 
   void ProcessFrame(FrameContext* ctx, PipelineResult* result) override;
 
-  /// Batched proxy pass: renders every frame, then scores all cache-missed
-  /// frames in a single batched network invocation before grouping cells
-  /// per frame. Identical per-frame results to ProcessFrame.
+  /// Batched proxy pass: looks up every frame, renders the cache misses and
+  /// scores them in a single batched network invocation before grouping
+  /// cells per frame. Identical per-frame results to ProcessFrame.
   void ProcessBatch(const std::vector<FrameContext*>& batch,
                     PipelineResult* result) override;
 
-  /// Pure half of ProcessBatch: render + score + window grouping. Writes
+  /// Pure half of ProcessBatch: lookup + render and score the misses +
+  /// window grouping. Writes
   /// only FrameContext fields (and the thread-safe score cache); safe to
   /// run concurrently with other batches of the same clip.
   void ComputeBatch(const std::vector<FrameContext*>& batch);
@@ -181,7 +232,6 @@ class ProxyStage : public Stage {
   const TrainedModels* trained_;  // Null iff the proxy is disabled.
   const sim::Clip& clip_;
   const models::DetectorArch& arch_;
-  sim::Rasterizer* raster_;  // Shared per-run render service, not owned.
   const models::ProxyModel* proxy_ = nullptr;
   ScoreBatchFn score_batch_fn_;  // Empty => direct ScoreBatch.
   /// Window sizes scaled to the detector resolution (W is selected in
@@ -249,12 +299,14 @@ class DetectStage : public Stage {
 
 /// Streams detections into the configured tracker (SORT or the recurrent
 /// reduced-rate model) and emits the finished tracks at clip end. The
-/// recurrent path derives appearance statistics from the low-res render,
-/// reusing the proxy's when present.
+/// recurrent path derives appearance statistics from the frame's
+/// FrameContext::LowResFrame, asking only on frames with detections (it
+/// reuses the proxy's render when the proxy rendered that frame); SORT
+/// never reads pixels.
 class TrackStage : public Stage {
  public:
   TrackStage(const PipelineConfig& config, const TrainedModels* trained,
-             const sim::Clip& clip, sim::Rasterizer* raster);
+             const sim::Clip& clip);
 
   void ProcessFrame(FrameContext* ctx, PipelineResult* result) override;
   void EndClip(PipelineResult* result) override;
@@ -262,7 +314,6 @@ class TrackStage : public Stage {
  private:
   const PipelineConfig& config_;
   const sim::Clip& clip_;
-  sim::Rasterizer* raster_;  // Shared per-run render service, not owned.
   std::unique_ptr<track::Tracker> sort_tracker_;
   std::unique_ptr<track::RecurrentTracker> recurrent_tracker_;
 };

@@ -42,7 +42,7 @@ class Layer {
   virtual Tensor Backward(const Tensor& grad_output) = 0;
 
   /// Appends this layer's parameters (may be none).
-  virtual void CollectParameters(std::vector<Parameter*>* out) {}
+  virtual void CollectParameters(std::vector<Parameter*>* /*out*/) {}
 
   /// Drops any cached activations (e.g. after an inference-only pass).
   virtual void ClearCache() = 0;

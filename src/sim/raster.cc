@@ -112,16 +112,19 @@ video::Image Rasterizer::Render(int frame, int width, int height) {
 void Rasterizer::RenderInto(int frame, int width, int height,
                             video::Image* out) {
   const DatasetSpec& spec = clip_->spec();
-  // Copy-assignment reuses out's pixel buffer when the capacity fits.
+  const video::Image& bg = Background(width, height);
   video::Image& img = *out;
-  img = Background(width, height);
   const double sx = static_cast<double>(width) / spec.width;
   const double sy = static_cast<double>(height) / spec.height;
 
-  // Moving camera: shift the background sample position by the offset.
-  if (spec.moving_camera) {
+  if (!spec.moving_camera) {
+    // Copy-assignment reuses out's pixel buffer when the capacity fits.
+    img = bg;
+  } else {
+    // Moving camera: shift the background sample position by the offset,
+    // writing every pixel of `out` straight from the shifted samples.
+    img.ResizeUninitialized(width, height);
     const geom::Point cam = clip_->CameraOffset(frame);
-    const video::Image& bg = Background(width, height);
     const int dx = static_cast<int>(std::lround(cam.x * sx));
     const int dy = static_cast<int>(std::lround(cam.y * sy));
     for (int y = 0; y < height; ++y) {

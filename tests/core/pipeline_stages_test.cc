@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -15,7 +16,9 @@
 #include "sim/dataset.h"
 #include "sim/raster.h"
 #include "track/metrics.h"
+#include "util/telemetry.h"
 #include "util/thread_pool.h"
+#include "util/trace.h"
 
 namespace otif::core {
 namespace {
@@ -167,6 +170,96 @@ TEST_F(PipelineStagesDeterminismTest, RecurrentWithProxy) {
   CheckConfig(config, trained.get());
 }
 
+// FNV-1a64 over every track field and the per-category simulated seconds,
+// in clip, track, detection and category order.
+uint64_t EvalDigest(const EvalResult& r) {
+  uint64_t h = 14695981039346656037ull;
+  const auto hash = [&h](const void* p, size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const std::vector<track::Track>& tracks : r.tracks_per_clip) {
+    const size_t n = tracks.size();
+    hash(&n, sizeof(n));
+    for (const track::Track& t : tracks) {
+      hash(&t.id, sizeof(t.id));
+      hash(&t.cls, sizeof(t.cls));
+      const size_t m = t.detections.size();
+      hash(&m, sizeof(m));
+      for (const track::Detection& d : t.detections) {
+        hash(&d.frame, sizeof(d.frame));
+        hash(&d.box.cx, sizeof(d.box.cx));
+        hash(&d.box.cy, sizeof(d.box.cy));
+        hash(&d.box.w, sizeof(d.box.w));
+        hash(&d.box.h, sizeof(d.box.h));
+        hash(&d.confidence, sizeof(d.confidence));
+      }
+    }
+  }
+  for (const models::CostCategory cat :
+       {models::CostCategory::kDecode, models::CostCategory::kProxy,
+        models::CostCategory::kDetect, models::CostCategory::kTrack,
+        models::CostCategory::kRefine}) {
+    const double s = r.clock.Seconds(cat);
+    hash(&s, sizeof(s));
+  }
+  return h;
+}
+
+TEST_F(PipelineStagesDeterminismTest, RenderCouplingMatchesGoldenDigests) {
+  // A fixed reference across commits for how the proxy and the recurrent
+  // tracker share low-resolution frames: {SORT, recurrent} x {proxy on,
+  // off}, each evaluated with a cleared score cache (every proxy lookup
+  // misses) and again with the warm cache (every lookup hits). Both runs
+  // must give the recorded digest. Change a constant only in a change meant
+  // to alter pipeline output, and say why in CHANGES.md.
+  //
+  // The threshold and the full-frame window keep detections flowing with
+  // the proxy on (at 0.3 this lightly trained proxy marks every frame
+  // empty), so the recurrent tracker's association depends on which pixels
+  // it reads: rendering its frames at 40x24 instead of the proxy resolution
+  // changes the recurrent/proxy digest.
+  struct Case {
+    const char* name;
+    TrackerKind tracker;
+    bool use_proxy;
+    int sampling_gap;
+    uint64_t golden;
+  };
+  const Case cases[] = {
+      {"sort/no-proxy", TrackerKind::kSort, false, 1,
+       0x001a89c8085d4350ull},
+      {"sort/proxy", TrackerKind::kSort, true, 2, 0xec1f6eadaa09ba0full},
+      {"recurrent/no-proxy", TrackerKind::kRecurrent, false, 4,
+       0x6b2280870be28c06ull},
+      {"recurrent/proxy", TrackerKind::kRecurrent, true, 2,
+       0x0d2bb66468a129b8ull},
+  };
+  const auto trained = MakeTrained(clips_);
+  trained->window_sizes.back() = WindowSize{320, 240};
+  const auto fn = CountAccuracyFn(&clips_);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    PipelineConfig config;
+    config.tracker = c.tracker;
+    config.use_proxy = c.use_proxy;
+    config.proxy_threshold = 0.1;
+    config.sampling_gap = c.sampling_gap;
+    trained->proxy_cache.Clear();
+    ThreadPool::SetDefaultThreads(1);
+    const uint64_t cold =
+        EvalDigest(EvaluateConfig(config, trained.get(), clips_, fn));
+    ThreadPool::SetDefaultThreads(4);
+    const uint64_t warm =
+        EvalDigest(EvaluateConfig(config, trained.get(), clips_, fn));
+    EXPECT_EQ(cold, c.golden) << std::hex << cold;
+    EXPECT_EQ(warm, c.golden) << std::hex << warm;
+  }
+}
+
 TEST_F(PipelineStagesDeterminismTest, ProxyCacheCountsHitsAcrossRuns) {
   const auto trained = MakeTrained(clips_);
   PipelineConfig config;
@@ -184,6 +277,45 @@ TEST_F(PipelineStagesDeterminismTest, ProxyCacheCountsHitsAcrossRuns) {
   // Second evaluation re-scores the same frames: all lookups hit.
   EXPECT_EQ(trained->proxy_cache.misses(), misses_first);
   EXPECT_GE(trained->proxy_cache.hits() - hits_before, misses_first);
+}
+
+TEST_F(PipelineStagesDeterminismTest, ProxyRendersOnlyCacheMisses) {
+  // Frames render on demand: the proxy renders a frame only when its score
+  // lookup misses, and SORT never reads pixels. The proxy/render span counts
+  // the proxy's renders, so a cold run shows exactly one per miss and a warm
+  // run (every lookup hits) none, under both executors.
+  const auto trained = MakeTrained(clips_);
+  PipelineConfig config;
+  config.tracker = TrackerKind::kSort;
+  config.use_proxy = true;
+  config.proxy_threshold = 0.3;
+  config.sampling_gap = 2;
+  const auto fn = CountAccuracyFn(&clips_);
+  const bool telemetry_was_enabled = telemetry::Enabled();
+  telemetry::SetEnabled(true);
+  const auto renders = [] {
+    const telemetry::TelemetrySnapshot snapshot = telemetry::CaptureSnapshot();
+    const telemetry::SpanSample* span =
+        telemetry::FindSpan(snapshot, "proxy/render");
+    return span == nullptr ? int64_t{0} : span->count;
+  };
+  for (const ExecutorKind kind :
+       {ExecutorKind::kSerial, ExecutorKind::kStreaming}) {
+    SCOPED_TRACE(ExecutorKindName(kind));
+    trained->proxy_cache.Clear();
+    telemetry::ResetAll();
+    const int64_t misses_before = trained->proxy_cache.misses();
+    EvaluateConfigWith(kind, config, trained.get(), clips_, fn);
+    const int64_t misses = trained->proxy_cache.misses() - misses_before;
+    EXPECT_GT(misses, 0);
+    EXPECT_EQ(renders(), misses);
+
+    telemetry::ResetAll();
+    EvaluateConfigWith(kind, config, trained.get(), clips_, fn);
+    EXPECT_EQ(trained->proxy_cache.misses() - misses_before, misses);
+    EXPECT_EQ(renders(), 0);
+  }
+  telemetry::SetEnabled(telemetry_was_enabled);
 }
 
 TEST(ProxyScoreCacheTest, EvictsFifoAtCapacity) {

@@ -446,6 +446,32 @@ TEST_F(StreamingExecutorFaultTest, DegradedProxyFallsBackToFullFrame) {
   }
 }
 
+TEST_F(StreamingExecutorFaultTest,
+       DegradedProxyFallsBackToFullFrameRecurrent) {
+  // Same degradation under the recurrent tracker, which reads low-res
+  // pixels for appearance statistics: frames the proxy never ran on are
+  // rendered at 40x24, exactly as in a serial run without the proxy, so the
+  // degraded clips match that run bit for bit.
+  const auto trained = MakeTrained(clips_);
+  PipelineConfig noproxy;
+  noproxy.tracker = TrackerKind::kRecurrent;
+  noproxy.sampling_gap = 2;
+  const std::vector<PipelineResult> serial = RunSerial(noproxy, trained.get());
+
+  PipelineConfig config = noproxy;
+  config.use_proxy = true;
+  config.proxy_threshold = 0.3;
+  ASSERT_TRUE(fault::ConfigureFaults("proxy.invoke:error:1:7").ok());
+  StatusOr<StreamingRunReport> report = RunStreaming(config, trained.get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->failed_clips.empty());
+  ASSERT_EQ(report->degraded_clips.size(), clips_.size());
+  ASSERT_EQ(report->results.size(), clips_.size());
+  for (size_t c = 0; c < clips_.size(); ++c) {
+    ExpectSameResult(serial[c], report->results[c], c);
+  }
+}
+
 TEST(StreamingExecutorTest, EmptyClipListReturnsEmpty) {
   PipelineConfig config;
   StreamingExecutor executor(config, nullptr);

@@ -201,11 +201,13 @@ echo "== smoke: /profilez sampling profiler over an in-flight run =="
 # (GemmBias) on a hot stack and stage attribution joined in, and keeps the
 # collapsed profile as build/profile.collapsed (uploaded by CI; renders
 # with flamegraph.pl). The bench is killed once validated — its report is
-# not used.
+# not used. Only the sweep's first run misses the proxy cache, so it is the
+# only GEMM work; 36 clips keep that run (and the process) in flight long
+# enough for a 2 s window to land in it.
 rm -f build/profile_port build/profile.collapsed
 OTIF_LOG_LEVEL=warning OTIF_METRICS_PORT=0 \
   OTIF_METRICS_PORT_FILE=build/profile_port \
-  ./build/bench/bench_throughput --executor=streaming 12 1200 \
+  ./build/bench/bench_throughput --executor=streaming 36 1200 \
   > build/throughput_profile_run.json &
 PROFILE_PID=$!
 if ! python3 tools/validate_profile.py build/profile_port \
