@@ -17,11 +17,9 @@
 // exports a Chrome trace-event timeline of every stage span, tagged with
 // clip ids across the worker threads.
 //
-// With --executor=streaming the sweep runs through the cross-stream
-// dataflow executor (bounded stage queues, cross-clip proxy/detector
-// batching) instead of the clip-level ParallelMap; the report then also
-// carries the cross-clip batch-fill distribution and the stage channels'
-// queue-depth percentiles.
+// Each run goes through the clip scheduler (core::EvaluateConfig). The
+// report ends with per-clip track digests and the fault-recovery report of
+// the last run (failed/degraded clips; see OTIF_FAULTS).
 //
 // With --profile each sweep point's measured repetitions run under the
 // sampling CPU profiler (src/obs/profiler); the report then carries a
@@ -32,8 +30,7 @@
 // with runs that did not pass the flag (minus the ~per-sample handler cost
 // the overhead_fraction field itself reports).
 //
-// Usage: bench_throughput [--executor=serial|streaming] [--profile]
-//                         [clips] [frames_per_clip]
+// Usage: bench_throughput [--profile] [clips] [frames_per_clip]
 
 #include <algorithm>
 #include <chrono>
@@ -47,7 +44,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/executor/streaming_executor.h"
+#include "core/best_config.h"
 #include "core/pipeline.h"
 #include "mem/buffer_pool.h"
 #include "obs/profiler.h"
@@ -60,74 +57,29 @@
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
-#include "util/trace_timeline.h"
 
 namespace {
 
-double RunOnce(const otif::core::Pipeline& pipeline,
-               const std::vector<otif::sim::Clip>& clips) {
-  // Live-progress run registration (no-op without OTIF_METRICS_PORT /
-  // OTIF_PROGRESS_SEC); the streaming path registers inside executor.Run.
-  if (otif::obs::ProgressEnabled()) {
-    const int gap = pipeline.config().sampling_gap;
-    std::vector<int64_t> totals;
-    totals.reserve(clips.size());
-    for (const otif::sim::Clip& clip : clips) {
-      totals.push_back((clip.num_frames() + gap - 1) / gap);
-    }
-    otif::obs::RunProgress::Global().BeginRun("bench_serial",
-                                              std::move(totals));
-  }
+/// Runs the clip set once through the clip scheduler (core::EvaluateConfig)
+/// and returns the wall seconds; the result lands in `out`.
+double RunOnce(const otif::core::PipelineConfig& config,
+               const otif::core::TrainedModels* trained,
+               const std::vector<otif::sim::Clip>& clips,
+               otif::core::EvalResult* out) {
   const auto start = std::chrono::steady_clock::now();
-  std::vector<otif::core::PipelineResult> results = otif::ParallelMap(
-      otif::ThreadPool::Default(), static_cast<int64_t>(clips.size()),
-      [&](int64_t i) {
-        // Timeline attribution: this task is clip i.
-        otif::telemetry::timeline::ScopedContext ctx({.clip = i});
-        return pipeline.Run(clips[static_cast<size_t>(i)]);
-      });
+  *out = otif::core::EvaluateConfig(
+      config, trained, clips,
+      [](const std::vector<std::vector<otif::track::Track>>&) { return 0.0; });
   const auto end = std::chrono::steady_clock::now();
-  if (otif::obs::ProgressEnabled()) {
-    otif::obs::RunProgress::Global().EndRun();
-  }
-  // Keep the results observable so the work cannot be optimized away.
-  int64_t total_tracks = 0;
-  for (const auto& r : results) total_tracks += static_cast<int64_t>(r.tracks.size());
-  if (total_tracks < 0) std::abort();
-  return std::chrono::duration<double>(end - start).count();
-}
-
-double RunOnceStreaming(const otif::core::PipelineConfig& config,
-                        const otif::core::TrainedModels* trained,
-                        const std::vector<otif::sim::Clip>& clips,
-                        otif::core::StreamingRunReport* out_report) {
-  // Constructed per run so the worker widths re-derive from the current
-  // default-pool size at every sweep point.
-  otif::core::StreamingExecutor executor(
-      config, trained, otif::core::StreamingOptionsFromEnv());
-  const auto start = std::chrono::steady_clock::now();
-  otif::StatusOr<otif::core::StreamingRunReport> result =
-      executor.Run(clips);
-  const auto end = std::chrono::steady_clock::now();
-  if (!result.ok()) {
-    std::fprintf(stderr, "streaming run failed: %s\n",
-                 result.status().ToString().c_str());
-    std::abort();
-  }
-  int64_t total_tracks = 0;
-  for (const auto& r : result->results) {
-    total_tracks += static_cast<int64_t>(r.tracks.size());
-  }
-  if (total_tracks < 0) std::abort();
-  if (out_report != nullptr) *out_report = std::move(result.value());
   return std::chrono::duration<double>(end - start).count();
 }
 
 // --- Per-clip result digests -------------------------------------------------
 //
-// A 64-bit FNV-1a over every result field the executor's bit-identity
-// contract covers. check.sh --faults compares these digests between a
-// faulted and a fault-free run to prove surviving clips were untouched.
+// A 64-bit FNV-1a over a clip's tracks, every field the scheduler's
+// bit-identity contract covers. check.sh --faults compares these digests
+// between a faulted and a fault-free run to prove surviving clips were
+// untouched.
 
 void DigestBytes(uint64_t* h, const void* data, size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -143,16 +95,9 @@ void DigestValue(uint64_t* h, const T& value) {
   DigestBytes(h, &value, sizeof(value));
 }
 
-uint64_t ResultDigest(const otif::core::PipelineResult& r) {
+uint64_t TracksDigest(const std::vector<otif::track::Track>& tracks) {
   uint64_t h = 14695981039346656037ull;
-  DigestValue(&h, r.frames_processed);
-  DigestValue(&h, r.detections_kept);
-  DigestValue(&h, r.mean_window_coverage);
-  for (int c = 0; c < otif::models::kNumCostCategories; ++c) {
-    DigestValue(
-        &h, r.clock.Seconds(static_cast<otif::models::CostCategory>(c)));
-  }
-  for (const otif::track::Track& t : r.tracks) {
+  for (const otif::track::Track& t : tracks) {
     DigestValue(&h, t.id);
     DigestValue(&h, t.cls);
     for (const otif::track::Detection& d : t.detections) {
@@ -197,15 +142,6 @@ void WriteFrameHistogramStats(otif::JsonWriter& report,
   report.Key("p99").Value(otif::telemetry::HistogramQuantile(s, 0.99));
 }
 
-/// Emits {"p50": .., "p99": ..} for a (possibly absent) depth histogram.
-void WriteDepthStats(otif::JsonWriter& report,
-                     const otif::telemetry::HistogramSample* h) {
-  const otif::telemetry::HistogramSample empty{};
-  const otif::telemetry::HistogramSample& s = h != nullptr ? *h : empty;
-  report.Key("p50").Value(otif::telemetry::HistogramQuantile(s, 0.50));
-  report.Key("p99").Value(otif::telemetry::HistogramQuantile(s, 0.99));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -214,15 +150,10 @@ int main(int argc, char** argv) {
   // throughput, so collection is always on regardless of OTIF_TELEMETRY.
   otif::telemetry::SetEnabled(true);
 
-  bool streaming = false;
   bool profile = false;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--executor=streaming") == 0) {
-      streaming = true;
-    } else if (std::strcmp(argv[i], "--executor=serial") == 0) {
-      streaming = false;
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
+    if (std::strcmp(argv[i], "--profile") == 0) {
       profile = true;
     } else {
       positional.push_back(argv[i]);
@@ -255,7 +186,6 @@ int main(int argc, char** argv) {
   config.use_proxy = true;
   config.proxy_resolution_index = 0;
   config.proxy_threshold = 0.3;
-  const otif::core::Pipeline pipeline(config, &trained);
 
   // Sweep 1, 2, 4 and the machine width (deduplicated, ascending).
   std::vector<int> worker_counts = {1, 2, 4};
@@ -269,20 +199,17 @@ int main(int argc, char** argv) {
   otif::JsonWriter report;
   report.BeginObject();
   report.Key("benchmark").Value("pipeline_throughput");
-  report.Key("executor").Value(streaming ? "streaming" : "serial");
   report.Key("clips").Value(num_clips);
   report.Key("frames_per_clip").Value(frames);
   report.Key("config").Value(config.ToString());
   report.Key("hardware_concurrency").Value(hw);
   report.Key("results").BeginArray();
   otif::telemetry::TelemetrySnapshot snapshot;
-  otif::core::StreamingRunReport last_streaming;
+  otif::core::EvalResult last;
   for (const int workers : worker_counts) {
     otif::ThreadPool::SetDefaultThreads(workers);
     const auto run_once = [&] {
-      return streaming
-                 ? RunOnceStreaming(config, &trained, clips, &last_streaming)
-                 : RunOnce(pipeline, clips);
+      return RunOnce(config, &trained, clips, &last);
     };
     // Warm-up: the first run faults in clip state and the proxy cache; the
     // second runs the warm-cache code path the measured reps take, faulting
@@ -395,7 +322,7 @@ int main(int argc, char** argv) {
     report.EndObject();
     // Frame/tensor memory layer over the measured reps: the check.sh gate
     // asserts allocations == 0 at the deterministic single-worker point and
-    // pool_hit_rate >= 0.99 everywhere (serial executor).
+    // pool_hit_rate >= 0.99 at that point.
     report.Key("memory").BeginObject();
     report.Key("pool_hits").Value(mem_hits);
     report.Key("pool_misses").Value(mem_misses);
@@ -441,74 +368,48 @@ int main(int argc, char** argv) {
       }
       report.EndObject();
     }
-    // Frames per detector invocation at the point the model actually ran —
-    // the cross-clip batching win shows up as a larger mean here.
+    // Frames per detector invocation at the point the model actually ran.
     report.Key("detect_batch").BeginObject();
     WriteFrameHistogramStats(
         report, FindHistogram(snapshot, "detect.invocation_frames"));
     report.EndObject();
-    if (streaming) {
-      report.Key("batch_fill").BeginObject();
-      report.Key("proxy").BeginObject();
-      WriteFrameHistogramStats(
-          report, FindHistogram(snapshot, "executor.batch.proxy.fill"));
-      report.EndObject();
-      report.Key("detect").BeginObject();
-      WriteFrameHistogramStats(
-          report, FindHistogram(snapshot, "executor.batch.detect.fill"));
-      report.EndObject();
-      report.EndObject();
-      report.Key("executor_queue_depth").BeginObject();
-      for (const char* ch : {"proxy", "detect", "commit"}) {
-        report.Key(ch).BeginObject();
-        WriteDepthStats(
-            report,
-            FindHistogram(snapshot, std::string("executor.channel.") + ch +
-                                        ".occupancy"));
-        report.EndObject();
-      }
-      report.EndObject();
-    }
     report.EndObject();
   }
   report.EndArray();
-  if (streaming) {
-    // Per-clip digests and the fault-recovery report of the LAST streaming
-    // run (the highest worker count). In a fault-free run failed_clips is
-    // empty and the digests match any other fault-free invocation —
-    // check.sh --faults leans on both properties.
-    report.Key("clip_digests").BeginArray();
-    for (size_t i = 0; i < last_streaming.results.size(); ++i) {
-      const bool failed =
-          std::any_of(last_streaming.failed_clips.begin(),
-                      last_streaming.failed_clips.end(),
-                      [&](const otif::core::FailedClip& f) {
-                        return f.clip_index == static_cast<int>(i);
-                      });
-      const bool degraded =
-          std::find(last_streaming.degraded_clips.begin(),
-                    last_streaming.degraded_clips.end(),
-                    static_cast<int>(i)) != last_streaming.degraded_clips.end();
-      report.BeginObject();
-      report.Key("clip").Value(static_cast<int64_t>(i));
-      report.Key("digest").Value(otif::StrFormat(
-          "%016llx", static_cast<unsigned long long>(
-                         ResultDigest(last_streaming.results[i]))));
-      report.Key("failed").Value(failed);
-      report.Key("degraded").Value(degraded);
-      report.EndObject();
-    }
-    report.EndArray();
-    report.Key("failed_clips").BeginArray();
-    for (const otif::core::FailedClip& f : last_streaming.failed_clips) {
-      report.BeginObject();
-      report.Key("clip").Value(f.clip_index);
-      report.Key("status").Value(f.status.ToString());
-      report.Key("retries").Value(f.retries);
-      report.EndObject();
-    }
-    report.EndArray();
+  // Per-clip digests and the fault-recovery report of the LAST run (the
+  // highest worker count). In a fault-free run failed_clips is empty and
+  // the digests match any other fault-free invocation — check.sh --faults
+  // leans on both properties.
+  report.Key("clip_digests").BeginArray();
+  for (size_t i = 0; i < last.tracks_per_clip.size(); ++i) {
+    const int clip = static_cast<int>(i);
+    const bool failed =
+        std::any_of(last.failed_clips.begin(), last.failed_clips.end(),
+                    [&](const otif::core::FailedClip& f) {
+                      return f.clip_index == clip;
+                    });
+    const bool degraded =
+        std::find(last.degraded_clips.begin(), last.degraded_clips.end(),
+                  clip) != last.degraded_clips.end();
+    report.BeginObject();
+    report.Key("clip").Value(static_cast<int64_t>(i));
+    report.Key("digest").Value(otif::StrFormat(
+        "%016llx", static_cast<unsigned long long>(
+                       TracksDigest(last.tracks_per_clip[i]))));
+    report.Key("failed").Value(failed);
+    report.Key("degraded").Value(degraded);
+    report.EndObject();
   }
+  report.EndArray();
+  report.Key("failed_clips").BeginArray();
+  for (const otif::core::FailedClip& f : last.failed_clips) {
+    report.BeginObject();
+    report.Key("clip").Value(f.clip_index);
+    report.Key("status").Value(f.status.ToString());
+    report.Key("retries").Value(f.retries);
+    report.EndObject();
+  }
+  report.EndArray();
   report.Key("telemetry").RawValue(otif::telemetry::SnapshotToJson(snapshot));
   report.EndObject();
   std::printf("%s\n", std::move(report).TakeString().c_str());

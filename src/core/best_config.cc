@@ -1,16 +1,78 @@
 #include "core/best_config.h"
 
-#include <cstdlib>
-#include <cstring>
+#include <string>
 #include <utility>
 
-#include "core/executor/streaming_executor.h"
 #include "obs/run_progress.h"
 #include "util/logging.h"
+#include "util/telemetry.h"
 #include "util/thread_pool.h"
 #include "util/trace_timeline.h"
 
 namespace otif::core {
+
+namespace {
+
+telemetry::Counter* QuarantinedCounter() {
+  static telemetry::Counter* const c =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "executor.quarantined_clips");
+  return c;
+}
+
+telemetry::Counter* DegradedCounter() {
+  static telemetry::Counter* const c =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "executor.degraded_clips");
+  return c;
+}
+
+/// What the scheduler got for one clip.
+struct ClipOutcome {
+  PipelineResult result;  // Meaningful only when `status` is OK.
+  Status status;          // Non-OK: the clip is quarantined.
+  int retries = 0;
+  bool degraded = false;
+};
+
+/// Runs clip `index` under the recovery policy: a persistent proxy failure
+/// (kUnavailable) re-runs the clip without the proxy; any other failure
+/// quarantines it. Quarantine is reported as it happens — counter, warning,
+/// /statusz (RunProgress) and the flight recorder.
+ClipOutcome RunClip(const Pipeline& pipeline, const TrainedModels* trained,
+                    const sim::Clip& clip, int64_t index) {
+  ClipOutcome out;
+  StatusOr<PipelineResult> run = pipeline.Run(clip, &out.retries);
+  if (!run.ok() && run.status().code() == StatusCode::kUnavailable) {
+    out.degraded = true;
+    DegradedCounter()->Add(1);
+    OTIF_LOG(kWarning) << "clip " << index << ": proxy stage failing ("
+                       << run.status().ToString()
+                       << "); re-running without the proxy — accuracy may "
+                          "drop";
+    PipelineConfig no_proxy = pipeline.config();
+    no_proxy.use_proxy = false;
+    run = Pipeline(std::move(no_proxy), trained).Run(clip, &out.retries);
+  }
+  if (run.ok()) {
+    out.result = std::move(run).value();
+    return out;
+  }
+  out.status = run.status();
+  QuarantinedCounter()->Add(1);
+  OTIF_LOG(kWarning) << "clip " << index << " quarantined after "
+                     << out.retries << " retrie(s): "
+                     << out.status.ToString() << " — remaining clips continue";
+  if (obs::ProgressEnabled()) {
+    obs::RunProgress::Global().MarkClipQuarantined(static_cast<int>(index),
+                                                   out.status.ToString());
+  }
+  telemetry::timeline::ReportError(
+      out.status, "clip scheduler: quarantined clip " + std::to_string(index));
+  return out;
+}
+
+}  // namespace
 
 EvalResult EvaluateConfig(const PipelineConfig& config,
                           const TrainedModels* trained,
@@ -33,64 +95,35 @@ EvalResult EvaluateConfig(const PipelineConfig& config,
   // back ordered by clip index, and the simulated clock keeps independent
   // per-category accumulators, so merging in clip order reproduces the
   // serial totals bit-for-bit.
-  std::vector<PipelineResult> per_clip =
+  std::vector<ClipOutcome> per_clip =
       ParallelMap(ThreadPool::Default(), static_cast<int64_t>(clips.size()),
                   [&](int64_t i) {
-                    // Tag this task's timeline events with the clip index
-                    // (the tuner and harness evaluations all funnel here).
+                    // Tag this task's timeline events with the clip index;
+                    // the stages' fault points read it too.
                     telemetry::timeline::ScopedContext ctx({.clip = i});
-                    return pipeline.Run(clips[static_cast<size_t>(i)]);
+                    return RunClip(pipeline, trained,
+                                   clips[static_cast<size_t>(i)], i);
                   });
   if (obs::ProgressEnabled()) obs::RunProgress::Global().EndRun();
   EvalResult result;
-  for (PipelineResult& r : per_clip) {
-    result.clock.Merge(r.clock);
-    result.tracks_per_clip.push_back(std::move(r.tracks));
+  for (size_t i = 0; i < per_clip.size(); ++i) {
+    ClipOutcome& c = per_clip[i];
+    if (c.degraded) result.degraded_clips.push_back(static_cast<int>(i));
+    if (!c.status.ok()) {
+      result.failed_clips.push_back(
+          {static_cast<int>(i), std::move(c.status), c.retries});
+      result.tracks_per_clip.emplace_back();
+      continue;
+    }
+    result.clock.Merge(c.result.clock);
+    result.tracks_per_clip.push_back(std::move(c.result.tracks));
   }
-  result.seconds = result.clock.TotalSeconds();
-  result.accuracy = accuracy_fn(result.tracks_per_clip);
-  return result;
-}
-
-const char* ExecutorKindName(ExecutorKind kind) {
-  return kind == ExecutorKind::kStreaming ? "streaming" : "serial";
-}
-
-ExecutorKind ExecutorKindFromEnv() {
-  const char* value = std::getenv("OTIF_EXECUTOR");
-  if (value == nullptr || *value == '\0') return ExecutorKind::kStreaming;
-  if (std::strcmp(value, "streaming") == 0) return ExecutorKind::kStreaming;
-  if (std::strcmp(value, "serial") == 0) return ExecutorKind::kSerial;
-  OTIF_LOG(kWarning) << "OTIF_EXECUTOR=\"" << value
-                     << "\" is not \"serial\" or \"streaming\"; using "
-                        "the streaming executor";
-  return ExecutorKind::kStreaming;
-}
-
-EvalResult EvaluateConfigWith(ExecutorKind kind, const PipelineConfig& config,
-                              const TrainedModels* trained,
-                              const std::vector<sim::Clip>& clips,
-                              const AccuracyFn& accuracy_fn) {
-  if (kind == ExecutorKind::kSerial) {
-    return EvaluateConfig(config, trained, clips, accuracy_fn);
-  }
-  StreamingExecutor executor(config, trained, StreamingOptionsFromEnv());
-  StatusOr<StreamingRunReport> report = executor.Run(clips);
-  // The serial path CHECKs the same config invariants in the Pipeline
-  // constructor, and nothing cancels this executor — a failure here is a
-  // programming error, not a recoverable condition.
-  OTIF_CHECK(report.ok()) << report.status().ToString();
-  if (!report->failed_clips.empty()) {
-    // Quarantined clips (fault runs only) contribute empty track lists, so
-    // the accuracy below understates the config. Config search under
-    // injected faults is a chaos exercise, not a measurement — warn.
-    OTIF_LOG(kWarning) << "config evaluation: " << report->failed_clips.size()
+  if (!result.failed_clips.empty()) {
+    // Quarantined clips contribute empty track lists, so the accuracy below
+    // understates the config. Config search under injected faults is a
+    // chaos exercise, not a measurement — warn.
+    OTIF_LOG(kWarning) << "config evaluation: " << result.failed_clips.size()
                        << " clip(s) quarantined; accuracy is a lower bound";
-  }
-  EvalResult result;
-  for (PipelineResult& r : report->results) {
-    result.clock.Merge(r.clock);
-    result.tracks_per_clip.push_back(std::move(r.tracks));
   }
   result.seconds = result.clock.TotalSeconds();
   result.accuracy = accuracy_fn(result.tracks_per_clip);

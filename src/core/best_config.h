@@ -7,6 +7,7 @@
 #include "core/pipeline.h"
 #include "sim/world.h"
 #include "track/types.h"
+#include "util/status.h"
 
 namespace otif::core {
 
@@ -16,46 +17,63 @@ namespace otif::core {
 using AccuracyFn =
     std::function<double(const std::vector<std::vector<track::Track>>&)>;
 
+/// One clip the scheduler gave up on (fault runs only): its detector kept
+/// failing for kMaxFaultAttempts attempts, so the clip was quarantined while
+/// every other clip completed.
+struct FailedClip {
+  int clip_index = -1;
+  Status status;    // The fault that exhausted the retry budget.
+  int retries = 0;  // Transient faults the clip's runs retried first.
+};
+
 /// Result of evaluating one configuration over a clip set.
 struct EvalResult {
   double accuracy = 0.0;
   double seconds = 0.0;
   models::SimClock clock;
+  /// Tracks per clip, in clip order. A quarantined clip's slot is empty.
   std::vector<std::vector<track::Track>> tracks_per_clip;
+  /// Quarantined clips, ascending clip_index. Empty unless faults are armed.
+  std::vector<FailedClip> failed_clips;
+  /// Clips re-run with use_proxy = false after their proxy failed
+  /// persistently, ascending. A degraded clip's result equals the no-proxy
+  /// run exactly. Empty unless faults are armed.
+  std::vector<int> degraded_clips;
 };
 
-/// Runs the pipeline under `config` over every clip and scores the outputs.
+/// The clip scheduler: runs the pipeline under `config` over every clip,
+/// clips fanned out over the default worker pool, and scores the outputs.
+/// Results merge in clip order, so they are bit-identical at any pool
+/// width.
+///
+/// Recovery in fault runs (OTIF_FAULTS armed) works per clip: the stages
+/// retry transient model-invocation faults in place; a clip whose proxy
+/// keeps failing is re-run without the proxy (degraded_clips); a clip whose
+/// detector keeps failing is quarantined (failed_clips) and leaves an empty
+/// slot, so the accuracy is then a lower bound.
 EvalResult EvaluateConfig(const PipelineConfig& config,
                           const TrainedModels* trained,
                           const std::vector<sim::Clip>& clips,
                           const AccuracyFn& accuracy_fn);
 
-/// How a clip set is executed. Both produce bit-identical results; they
-/// differ in how wall-clock parallelism and model batching are organized.
-enum class ExecutorKind {
-  /// Serial reference path: one Pipeline::Run per clip, fanned out over
-  /// the worker pool clip-by-clip (model batches never span clips).
-  kSerial,
-  /// Cross-stream dataflow executor: bounded stage queues with proxy and
-  /// detector invocations batched across clips.
-  kStreaming,
-};
+/// Exists only for otifbench, which names an executor kind: EvaluateConfig
+/// is the one clip scheduler.
+enum class ExecutorKind { kSerial };
 
-/// "serial" / "streaming".
-const char* ExecutorKindName(ExecutorKind kind);
+/// Exists only for otifbench: always "serial".
+inline const char* ExecutorKindName(ExecutorKind) { return "serial"; }
 
-/// Reads OTIF_EXECUTOR ("serial" or "streaming"; default streaming).
-/// Unrecognized values fall back to streaming with a logged warning.
-ExecutorKind ExecutorKindFromEnv();
+/// Exists only for otifbench: always kSerial (reads no environment).
+inline ExecutorKind ExecutorKindFromEnv() { return ExecutorKind::kSerial; }
 
-/// EvaluateConfig routed through the chosen executor. kSerial is exactly
-/// EvaluateConfig; kStreaming runs the clips through a StreamingExecutor
-/// (options from the environment) and merges per-clip results in clip
-/// order, reproducing the serial totals bit-for-bit.
-EvalResult EvaluateConfigWith(ExecutorKind kind, const PipelineConfig& config,
-                              const TrainedModels* trained,
-                              const std::vector<sim::Clip>& clips,
-                              const AccuracyFn& accuracy_fn);
+/// Exists only for otifbench: forwards to EvaluateConfig.
+inline EvalResult EvaluateConfigWith(ExecutorKind,
+                                     const PipelineConfig& config,
+                                     const TrainedModels* trained,
+                                     const std::vector<sim::Clip>& clips,
+                                     const AccuracyFn& accuracy_fn) {
+  return EvaluateConfig(config, trained, clips, accuracy_fn);
+}
 
 /// Selects the best-accuracy configuration theta_best (paper Sec 3.3):
 /// starting from the slowest configuration (no proxy, full resolution,

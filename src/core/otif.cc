@@ -279,18 +279,15 @@ void Otif::Prepare(const AccuracyFn& validation_accuracy,
   //    are offset per clip so S* detections carry globally unique frames
   //    (used by tracker training to find same-frame negatives).
   {
-    Pipeline pipeline(theta_best_, nullptr);
-    // Per-clip runs are independent; the offset bookkeeping below stays
-    // serial in clip order so S* is identical to a serial pass.
-    std::vector<PipelineResult> per_clip = ParallelMap(
-        ThreadPool::Default(), static_cast<int64_t>(train_clips_.size()),
-        [&](int64_t ci) {
-          return pipeline.Run(train_clips_[static_cast<size_t>(ci)]);
-        });
+    // Scored by nothing: S* is the tracks themselves.
+    EvalResult r = EvaluateConfig(
+        theta_best_, nullptr, train_clips_,
+        [](const std::vector<std::vector<track::Track>>&) { return 0.0; });
+    // The offset bookkeeping stays serial in clip order so S* is identical
+    // to a serial pass.
     int frame_offset = 0;
     for (size_t ci = 0; ci < train_clips_.size(); ++ci) {
-      PipelineResult& r = per_clip[ci];
-      for (track::Track& t : r.tracks) {
+      for (track::Track& t : r.tracks_per_clip[ci]) {
         for (track::Detection& d : t.detections) d.frame += frame_offset;
         t.id = static_cast<int64_t>(s_star_.size());
         s_star_.push_back(std::move(t));
@@ -336,12 +333,7 @@ const TunerPoint& Otif::FastestWithinTolerance(double tolerance) const {
 EvalResult Otif::Execute(const PipelineConfig& config,
                          const std::vector<sim::Clip>& clips,
                          const AccuracyFn& accuracy_fn) const {
-  // Execution-phase runs (as opposed to the tuner's evaluation loop) go
-  // through the environment-selected executor; the streaming default
-  // batches proxy and detector invocations across clips. Results are
-  // bit-identical either way.
-  return EvaluateConfigWith(ExecutorKindFromEnv(), config, &trained_, clips,
-                            accuracy_fn);
+  return EvaluateConfig(config, &trained_, clips, accuracy_fn);
 }
 
 }  // namespace otif::core

@@ -25,7 +25,9 @@ struct StageTelemetry {
   telemetry::Gauge* sim_seconds;
 };
 
-constexpr int kNumStages = internal::kNumStages;
+/// Number of execution stages (decode, proxy, detect, track, refine); maps
+/// 1:1 onto the first five cost categories.
+constexpr int kNumStages = 5;
 
 const std::array<StageTelemetry, kNumStages>& GetStageTelemetry() {
   static const std::array<StageTelemetry, kNumStages> stages = [] {
@@ -63,15 +65,8 @@ const RunTelemetry& GetRunTelemetry() {
   return t;
 }
 
-}  // namespace
-
-namespace internal {
-
-telemetry::SpanSite* StageSpan(int stage) {
-  return GetStageTelemetry()[static_cast<size_t>(stage)].span;
-}
-
-/// Folds one finished run into the global registry. Observation only: must
+/// Folds one finished run into the global registry (per-stage simulated
+/// seconds, run counters, run-total histogram). Observation only: must
 /// never influence the result (the telemetry on/off regression test pins
 /// this down).
 void RecordRunTelemetry(const PipelineResult& result) {
@@ -88,7 +83,7 @@ void RecordRunTelemetry(const PipelineResult& result) {
   t.run_sim_seconds->Record(result.clock.TotalSeconds());
 }
 
-}  // namespace internal
+}  // namespace
 
 std::string PipelineConfig::ToString() const {
   return StrFormat(
@@ -136,7 +131,8 @@ double Pipeline::DecodeSecondsForClip(const sim::Clip& clip) const {
   return SimulatedDecodeSeconds(config_, clip);
 }
 
-PipelineResult Pipeline::Run(const sim::Clip& clip) const {
+StatusOr<PipelineResult> Pipeline::Run(const sim::Clip& clip,
+                                       int* retries) const {
   // Umbrella span for the whole clip: on the timeline each clip shows as
   // one block (tagged with the scheduler's clip-id context) containing the
   // per-stage spans below.
@@ -158,6 +154,9 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
   RefineStage refine(config_, trained_, clip);
   Stage* const stages[] = {&decode, &proxy, &detect, &track, &refine};
   const auto& stage_telemetry = GetStageTelemetry();
+  const auto count_retries = [&] {
+    if (retries != nullptr) *retries += proxy.retries() + detect.retries();
+  };
 
   // Each stage call runs under its stage's wall-clock span; the span sites
   // aggregate (count, total, min, max) with relaxed atomics, so the
@@ -191,7 +190,11 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
     }
     for (int s = 0; s < kNumStages; ++s) {
       telemetry::ScopedSpan span(stage_telemetry[static_cast<size_t>(s)].span);
-      stages[s]->ProcessBatch(batch, &result);
+      const Status status = stages[s]->ProcessBatch(batch, &result);
+      if (!status.ok()) {
+        count_retries();
+        return status;
+      }
     }
     // Live progress: with introspection off this is the one relaxed flag
     // load; with it on, the batch is attributed to the clip the scheduler
@@ -207,7 +210,8 @@ PipelineResult Pipeline::Run(const sim::Clip& clip) const {
     telemetry::ScopedSpan span(stage_telemetry[static_cast<size_t>(s)].span);
     stages[s]->EndClip(&result);
   }
-  if (telemetry::Enabled()) internal::RecordRunTelemetry(result);
+  count_retries();
+  if (telemetry::Enabled()) RecordRunTelemetry(result);
   return result;
 }
 

@@ -15,7 +15,7 @@
 #include "sim/world.h"
 #include "track/refine.h"
 #include "track/types.h"
-#include "util/trace.h"
+#include "util/status.h"
 
 namespace otif::core {
 
@@ -96,7 +96,14 @@ class Pipeline {
   const PipelineConfig& config() const { return config_; }
 
   /// Runs the pipeline over a clip, returning tracks and simulated costs.
-  PipelineResult Run(const sim::Clip& clip) const;
+  ///
+  /// Fails only while fault injection is armed (OTIF_FAULTS), when a model
+  /// invocation keeps failing for kMaxFaultAttempts attempts: kUnavailable
+  /// when the proxy failed (the clip can still run without it), kIoError
+  /// when the detector did. `retries`, when non-null, grows by the
+  /// transient faults the run retried in place, whether or not it failed.
+  StatusOr<PipelineResult> Run(const sim::Clip& clip,
+                               int* retries = nullptr) const;
 
   /// Simulated decode seconds for processing a clip at the configured gap
   /// and resolution (frames must be decoded along codec reference chains;
@@ -108,24 +115,6 @@ class Pipeline {
   PipelineConfig config_;
   const TrainedModels* trained_;  // Not owned; may be null (see ctor).
 };
-
-namespace internal {
-
-/// Number of execution stages (decode, proxy, detect, track, refine); maps
-/// 1:1 onto the first five cost categories.
-constexpr int kNumStages = 5;
-
-/// Wall-clock span site for stage `stage` (0..kNumStages-1). Shared by the
-/// serial driver and the streaming executor so both report through the
-/// same "stage/<name>" telemetry names.
-telemetry::SpanSite* StageSpan(int stage);
-
-/// Folds one finished run into the global registry (per-stage simulated
-/// seconds, run counters, run-total histogram). Observation only: must
-/// never influence the result. Callers check telemetry::Enabled() first.
-void RecordRunTelemetry(const PipelineResult& result);
-
-}  // namespace internal
 
 /// The standard detector-scale ladder used by the tuner: each step reduces
 /// pixel count by the tuning coarseness C = 30%.

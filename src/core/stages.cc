@@ -1,25 +1,27 @@
 #include "core/stages.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <thread>
 #include <utility>
 
 #include "track/metrics.h"
 #include "track/sort_tracker.h"
+#include "util/fault_injection.h"
 #include "util/logging.h"
+#include "util/strings.h"
 #include "util/trace.h"
+#include "util/trace_timeline.h"
 
 namespace otif::core {
 namespace {
 
-// GOP size assumed for decode-cost accounting; matches the default
-// video::CodecConfig.
+// GOP size (frames between I-frames) assumed for decode-cost accounting.
 constexpr int kGopSize = 16;
 
 // Frames per batched model invocation, recorded at the point the model is
-// actually invoked (so the serial driver and the streaming executor's
-// cross-clip batcher report through the same histograms; the streaming
-// release records once for the whole multi-clip wave instead).
+// actually invoked.
 telemetry::Histogram* ProxyInvocationFrames() {
   static telemetry::Histogram* const h =
       telemetry::MetricsRegistry::Global().GetHistogram(
@@ -34,6 +36,53 @@ telemetry::Histogram* DetectInvocationFrames() {
           "detect.invocation_frames",
           {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
   return h;
+}
+
+telemetry::Counter* RetriesCounter() {
+  static telemetry::Counter* const c =
+      telemetry::MetricsRegistry::Global().GetCounter("executor.retries");
+  return c;
+}
+
+/// Index of `batch` within its clip: Pipeline::Run groups frame_batch
+/// consecutive sampled frames, so group k starts at frame
+/// k * frame_batch * sampling_gap.
+int GroupIndex(const PipelineConfig& config,
+               const std::vector<FrameContext*>& batch) {
+  return batch.front()->frame / (config.sampling_gap * config.frame_batch);
+}
+
+/// Consults a model-invocation fault site before a batch's invocation.
+/// Transient (kError) decisions retry in place with bounded exponential
+/// backoff; because the fault fires before the invocation, no stage state
+/// was touched and a retry is just a fresh decision with the next attempt
+/// token. The token encodes (clip, group, attempt), with the clip taken
+/// from the scheduler's timeline context, so the decisions are a pure
+/// function of the work item whatever the thread interleaving. kStall
+/// sleeps (latency spike) and succeeds; other kinds pass through. Returns
+/// IoError after kMaxFaultAttempts consecutive error decisions.
+Status AttemptInvocation(fault::Site* site, int group, int* retries) {
+  const int64_t clip = telemetry::timeline::CurrentContext().clip;
+  for (int attempt = 0;; ++attempt) {
+    const int64_t token = (clip * 1000003 + group) * 16 + attempt;
+    fault::Injection inj;
+    if (!site->Inject(clip, token, &inj)) return Status::OK();
+    if (inj.kind == fault::Kind::kStall) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(inj.stall_ms));
+      return Status::OK();
+    }
+    if (inj.kind != fault::Kind::kError) return Status::OK();
+    if (attempt + 1 >= kMaxFaultAttempts) {
+      return Status::IoError(StrFormat(
+          "injected %s fault: clip %lld group %d failed %d attempts",
+          site->name().c_str(), static_cast<long long>(clip), group,
+          kMaxFaultAttempts));
+    }
+    ++*retries;
+    RetriesCounter()->Add(1);
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(std::min(1 << attempt, 4)));
+  }
 }
 
 }  // namespace
@@ -171,8 +220,15 @@ void ProxyStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
   ComputeWindows(scores, ctx);
 }
 
-void ProxyStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
-  if (proxy_ == nullptr) return;
+Status ProxyStage::ProcessBatch(const std::vector<FrameContext*>& batch,
+                                PipelineResult* result) {
+  if (proxy_ == nullptr) return Status::OK();
+  if (fault::Enabled()) {
+    static fault::Site* const site = fault::GetSite("proxy.invoke");
+    const Status st = AttemptInvocation(site, GroupIndex(config_, batch),
+                                        &retries_);
+    if (!st.ok()) return Status::Unavailable(st.message());
+  }
   const auto key_of = [&](const FrameContext* ctx) {
     return std::make_tuple(clip_.clip_seed(), ctx->frame,
                            config_.proxy_resolution_index);
@@ -199,14 +255,9 @@ void ProxyStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
       frames.push_back(&batch[i]->LowResFrame());
     }
     OTIF_SPAN("proxy/score");
-    std::vector<nn::Tensor> fresh;
-    if (score_batch_fn_) {
-      fresh = score_batch_fn_(*proxy_, frames);
-    } else {
-      fresh = proxy_->ScoreBatch(frames);
-      if (telemetry::Enabled()) {
-        ProxyInvocationFrames()->Record(static_cast<double>(frames.size()));
-      }
+    std::vector<nn::Tensor> fresh = proxy_->ScoreBatch(frames);
+    if (telemetry::Enabled()) {
+      ProxyInvocationFrames()->Record(static_cast<double>(frames.size()));
     }
     for (size_t m = 0; m < missing.size(); ++m) {
       const size_t i = missing[m];
@@ -215,28 +266,13 @@ void ProxyStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
     }
   }
 
+  // One fixed charge per frame, in frame order — the same kProxy
+  // accumulation sequence the per-frame path produces.
   for (size_t i = 0; i < batch.size(); ++i) {
+    ChargeFrame(result);
     ComputeWindows(scores[i], batch[i]);
   }
-}
-
-void ProxyStage::CommitBatch(const std::vector<FrameContext*>& batch,
-                             PipelineResult* result) {
-  if (proxy_ == nullptr) return;
-  // One fixed charge per frame, in frame order — the same kProxy
-  // accumulation sequence the per-frame path produces. Frames whose proxy
-  // computation never ran (a degraded clip falling back to full-frame
-  // detection) charge nothing; in normal operation ComputeBatch marks
-  // every frame, so this guard never changes the charge sequence.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i]->proxy_ran) ChargeFrame(result);
-  }
-}
-
-void ProxyStage::ProcessBatch(const std::vector<FrameContext*>& batch,
-                              PipelineResult* result) {
-  ComputeBatch(batch);
-  CommitBatch(batch, result);
+  return Status::OK();
 }
 
 // --- DetectStage ------------------------------------------------------------
@@ -271,8 +307,15 @@ void DetectStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
   result->detections_kept += static_cast<int64_t>(ctx->detections.size());
 }
 
-void DetectStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
+Status DetectStage::ProcessBatch(const std::vector<FrameContext*>& batch,
+                                 PipelineResult* result) {
+  if (fault::Enabled()) {
+    static fault::Site* const site = fault::GetSite("detect.invoke");
+    OTIF_RETURN_IF_ERROR(
+        AttemptInvocation(site, GroupIndex(config_, batch), &retries_));
+  }
   const double scale = config_.detector_scale;
+  const models::DetectorArch& arch = detector_.arch();
 
   // Partition the batch: windowed frames and full frames become batched
   // detector invocations; proxy-empty frames skip the detector.
@@ -285,9 +328,10 @@ void DetectStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
     }
   }
 
-  const auto invoke = [&](const std::vector<int>& frames) {
-    if (detect_batch_fn_) return detect_batch_fn_(detector_, clip_, frames,
-                                                  scale);
+  const auto invoke = [&](const std::vector<FrameContext*>& ctxs) {
+    std::vector<int> frames;
+    frames.reserve(ctxs.size());
+    for (const FrameContext* ctx : ctxs) frames.push_back(ctx->frame);
     if (telemetry::Enabled()) {
       DetectInvocationFrames()->Record(static_cast<double>(frames.size()));
     }
@@ -295,61 +339,11 @@ void DetectStage::ComputeBatch(const std::vector<FrameContext*>& batch) {
   };
 
   if (!windowed.empty()) {
-    std::vector<int> frames;
-    frames.reserve(windowed.size());
-    for (FrameContext* ctx : windowed) frames.push_back(ctx->frame);
-    const std::vector<track::FrameDetections> dets = invoke(frames);
+    const std::vector<track::FrameDetections> dets = invoke(windowed);
     for (size_t i = 0; i < windowed.size(); ++i) {
       windowed[i]->detections =
           models::FilterByWindows(dets[i], windowed[i]->windows);
     }
-  }
-
-  if (!full.empty()) {
-    std::vector<int> frames;
-    frames.reserve(full.size());
-    for (FrameContext* ctx : full) frames.push_back(ctx->frame);
-    std::vector<track::FrameDetections> dets = invoke(frames);
-    for (size_t i = 0; i < full.size(); ++i) {
-      full[i]->detections = std::move(dets[i]);
-    }
-  }
-
-  // Per-frame coverage value and the confidence filter, in frame order.
-  // Coverage is stored on the context and accumulated at commit time so
-  // the per-clip sum keeps the serial accumulation order.
-  for (FrameContext* ctx : batch) {
-    if (ctx->proxy_ran) {
-      ctx->window_coverage =
-          ctx->skip_detector
-              ? 1.0
-              : track::DetectionCoverage(
-                    clip_.GroundTruthDetections(ctx->frame), ctx->windows);
-    }
-    ctx->detections = models::FilterByConfidence(ctx->detections,
-                                                 config_.detector_confidence);
-  }
-}
-
-void DetectStage::CommitBatch(const std::vector<FrameContext*>& batch,
-                              PipelineResult* result) {
-  const double scale = config_.detector_scale;
-  const models::DetectorArch& arch = detector_.arch();
-
-  // Charges follow the serial grouping: one windowed charge and one
-  // full-frame charge per frame_batch group, independent of how the
-  // compute half actually batched the model invocations. This is the
-  // invariant that makes cross-clip batching cost-neutral.
-  std::vector<FrameContext*> windowed, full;
-  for (FrameContext* ctx : batch) {
-    if (ctx->proxy_ran) {
-      if (!ctx->skip_detector) windowed.push_back(ctx);
-    } else {
-      full.push_back(ctx);
-    }
-  }
-
-  if (!windowed.empty()) {
     // Windows come from the fixed trained size set W, so the batch's
     // windows group into few distinct shapes; each shape batches into one
     // detector invocation (uniform input shape), amortizing the
@@ -372,6 +366,10 @@ void DetectStage::CommitBatch(const std::vector<FrameContext*>& batch,
   }
 
   if (!full.empty()) {
+    std::vector<track::FrameDetections> dets = invoke(full);
+    for (size_t i = 0; i < full.size(); ++i) {
+      full[i]->detections = std::move(dets[i]);
+    }
     // Full frames all share one input shape: one invocation for the batch.
     const double pixel_seconds_per_frame =
         arch.sec_per_pixel * clip_.spec().width * scale *
@@ -382,21 +380,22 @@ void DetectStage::CommitBatch(const std::vector<FrameContext*>& batch,
             arch.sec_per_invocation);
   }
 
-  // Coverage and the kept-detections counter accumulate in frame order,
-  // exactly as the per-frame path would.
+  // Coverage, the confidence filter and the kept-detections counter, in
+  // frame order, exactly as the per-frame path would.
   for (FrameContext* ctx : batch) {
     if (ctx->proxy_ran) {
-      coverage_sum_ += ctx->window_coverage;
+      coverage_sum_ +=
+          ctx->skip_detector
+              ? 1.0
+              : track::DetectionCoverage(
+                    clip_.GroundTruthDetections(ctx->frame), ctx->windows);
       ++coverage_frames_;
     }
+    ctx->detections = models::FilterByConfidence(ctx->detections,
+                                                 config_.detector_confidence);
     result->detections_kept += static_cast<int64_t>(ctx->detections.size());
   }
-}
-
-void DetectStage::ProcessBatch(const std::vector<FrameContext*>& batch,
-                               PipelineResult* result) {
-  ComputeBatch(batch);
-  CommitBatch(batch, result);
+  return Status::OK();
 }
 
 void DetectStage::EndClip(PipelineResult* result) {

@@ -1,7 +1,6 @@
 #ifndef OTIF_CORE_STAGES_H_
 #define OTIF_CORE_STAGES_H_
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -13,15 +12,15 @@
 #include "track/recurrent_tracker.h"
 #include "track/tracker.h"
 #include "track/types.h"
+#include "util/status.h"
 #include "video/image.h"
 
 namespace otif::core {
 
 /// A run's source of low-resolution frames: the clip's rasterizer plus the
-/// rule that picks the render size. One per Pipeline::Run (one per clip in
-/// the streaming executor); every FrameContext of the run points at it.
-/// Rendering is thread-safe and deterministic in (frame, width, height), so
-/// any stage worker may render through it.
+/// rule that picks the render size. One per Pipeline::Run; every
+/// FrameContext of the run points at it. Rendering is deterministic in
+/// (frame, width, height).
 class FrameSource {
  public:
   /// `clip` must outlive the source; `trained` is read only when the config
@@ -36,8 +35,8 @@ class FrameSource {
  private:
   /// The resolution rule. A frame the proxy ran on (FrameContext::proxy_ran)
   /// renders at the proxy's input size, so the proxy and the recurrent
-  /// tracker read one render. Any other frame (proxy off, or a streaming
-  /// clip degraded to full-frame detection) renders at 40x24, the smallest
+  /// tracker read one render. Any other frame (proxy off, including a clip
+  /// the scheduler re-ran without the proxy) renders at 40x24, the smallest
   /// standard proxy input.
   std::pair<int, int> LowResSize(bool proxy_ran) const;
 
@@ -80,9 +79,6 @@ struct FrameContext {
   // --- Written by DetectStage ---
   /// Confidence-filtered detections for this frame.
   track::FrameDetections detections;
-  /// Window-coverage value for this frame (1.0 when the proxy skipped the
-  /// detector); folded into the per-clip mean at commit time.
-  double window_coverage = 1.0;
 
   /// The frame's low-resolution render at the size FrameSource's
   /// resolution rule picks from proxy_ran, rendered on first use and
@@ -112,7 +108,6 @@ struct FrameContext {
     window_sizes.clear();
     windowed_detect_seconds = 0.0;
     detections.clear();
-    window_coverage = 1.0;
   }
 
  private:
@@ -131,15 +126,10 @@ struct FrameContext {
 /// FrameContext and charge their simulated costs to the PipelineResult
 /// clock; no stage reaches into another's internals.
 ///
-/// Compute/commit split: ProxyStage and DetectStage additionally expose
-/// ComputeBatch (pure per-frame work: rendering misses, model invocations,
-/// window grouping — writes only FrameContext fields, no stage or result
-/// mutation) and CommitBatch (ordered side effects: SimClock charges,
-/// coverage accumulation, counters). ProcessBatch == ComputeBatch followed
-/// by CommitBatch. The streaming executor runs ComputeBatch on stage
-/// workers in any order and replays CommitBatch per clip in serial frame
-/// order, which is what makes cross-clip batching bit-identical to the
-/// serial driver.
+/// ProcessBatch returns a non-OK Status only in fault runs (OTIF_FAULTS
+/// armed): ProxyStage and DetectStage consult their invocation fault site
+/// before each batch, retry injected transient errors in place, and give up
+/// on the clip after kMaxFaultAttempts consecutive errors.
 class Stage {
  public:
   virtual ~Stage() = default;
@@ -153,9 +143,10 @@ class Stage {
   /// Batched work over consecutive sampled frames (frame order). Override
   /// to amortize work across the batch (batched model invocations); the
   /// default is the sequential per-frame loop.
-  virtual void ProcessBatch(const std::vector<FrameContext*>& batch,
-                            PipelineResult* result) {
+  virtual Status ProcessBatch(const std::vector<FrameContext*>& batch,
+                              PipelineResult* result) {
     for (FrameContext* ctx : batch) ProcessFrame(ctx, result);
+    return Status::OK();
   }
 
   /// Clip-level teardown: emit tracks, aggregate diagnostics.
@@ -186,44 +177,25 @@ class DecodeStage : public Stage {
 /// disabled.
 class ProxyStage : public Stage {
  public:
-  /// Batched scoring hook: scores the given rendered frames (cache misses
-  /// of one batch) with `proxy`, returning one cell-score tensor per frame.
-  /// Defaults to a direct ProxyModel::ScoreBatch invocation; the streaming
-  /// executor substitutes a cross-clip batcher route so one network
-  /// invocation spans frames of many clips. Must return bit-identical
-  /// tensors to ProxyModel::Score per frame (ScoreBatch guarantees this).
-  using ScoreBatchFn = std::function<std::vector<nn::Tensor>(
-      const models::ProxyModel& proxy,
-      const std::vector<const video::Image*>& frames)>;
-
   ProxyStage(const PipelineConfig& config, const TrainedModels* trained,
              const sim::Clip& clip, const models::DetectorArch& arch);
-
-  /// Replaces the batched scoring invocation (streaming executor hook).
-  void set_score_batch_fn(ScoreBatchFn fn) { score_batch_fn_ = std::move(fn); }
 
   void ProcessFrame(FrameContext* ctx, PipelineResult* result) override;
 
   /// Batched proxy pass: looks up every frame, renders the cache misses and
   /// scores them in a single batched network invocation before grouping
-  /// cells per frame. Identical per-frame results to ProcessFrame.
-  void ProcessBatch(const std::vector<FrameContext*>& batch,
-                    PipelineResult* result) override;
+  /// cells per frame. Identical per-frame results to ProcessFrame. In a
+  /// fault run, a proxy.invoke fault that persists for kMaxFaultAttempts
+  /// returns kUnavailable: the clip can still run without the proxy.
+  Status ProcessBatch(const std::vector<FrameContext*>& batch,
+                      PipelineResult* result) override;
 
-  /// Pure half of ProcessBatch: lookup + render and score the misses +
-  /// window grouping. Writes
-  /// only FrameContext fields (and the thread-safe score cache); safe to
-  /// run concurrently with other batches of the same clip.
-  void ComputeBatch(const std::vector<FrameContext*>& batch);
-
-  /// Ordered half: charges the per-frame proxy cost in frame order.
-  void CommitBatch(const std::vector<FrameContext*>& batch,
-                   PipelineResult* result);
+  /// Transient proxy.invoke faults this stage retried in place.
+  int retries() const { return retries_; }
 
  private:
-  /// Pure post-scoring work: threshold cells and group them into detector
-  /// windows for one frame (no charges; those happen in CommitBatch or,
-  /// for the per-frame path, in ProcessFrame).
+  /// Post-scoring work: threshold cells and group them into detector
+  /// windows for one frame.
   void ComputeWindows(const nn::Tensor& scores, FrameContext* ctx);
   /// Charges the fixed per-frame proxy cost.
   void ChargeFrame(PipelineResult* result);
@@ -233,7 +205,7 @@ class ProxyStage : public Stage {
   const sim::Clip& clip_;
   const models::DetectorArch& arch_;
   const models::ProxyModel* proxy_ = nullptr;
-  ScoreBatchFn score_batch_fn_;  // Empty => direct ScoreBatch.
+  int retries_ = 0;
   /// Window sizes scaled to the detector resolution (W is selected in
   /// native coordinates; windows shrink with the frame).
   std::vector<WindowSize> scaled_sizes_;
@@ -247,22 +219,8 @@ class ProxyStage : public Stage {
 /// window-coverage diagnostic.
 class DetectStage : public Stage {
  public:
-  /// Batched detection hook: detects on `frames` of `clip` at `scale` with
-  /// `detector`, one result per frame. Defaults to a direct
-  /// SimulatedDetector::DetectBatch invocation; the streaming executor
-  /// substitutes a cross-clip batcher route. Element i must be
-  /// bit-identical to Detect(clip, frames[i], scale).
-  using DetectBatchFn = std::function<std::vector<track::FrameDetections>(
-      const models::SimulatedDetector& detector, const sim::Clip& clip,
-      const std::vector<int>& frames, double scale)>;
-
   DetectStage(const PipelineConfig& config, const sim::Clip& clip,
               const models::DetectorArch& arch);
-
-  /// Replaces the batched detector invocation (streaming executor hook).
-  void set_detect_batch_fn(DetectBatchFn fn) {
-    detect_batch_fn_ = std::move(fn);
-  }
 
   void ProcessFrame(FrameContext* ctx, PipelineResult* result) override;
 
@@ -271,30 +229,24 @@ class DetectStage : public Stage {
   /// full frames share one shape), charging the per-invocation overhead
   /// once per group instead of once per window/frame. Detections are
   /// bit-identical to the per-frame path; only the simulated overhead
-  /// charge is amortized.
-  void ProcessBatch(const std::vector<FrameContext*>& batch,
-                    PipelineResult* result) override;
-
-  /// Pure half of ProcessBatch: detector invocations, window/confidence
-  /// filtering, and the per-frame coverage value (stored on the context).
-  /// Writes only FrameContext fields; safe to run concurrently with other
-  /// batches of the same clip.
-  void ComputeBatch(const std::vector<FrameContext*>& batch);
-
-  /// Ordered half: SimClock charges (identical grouping and order to the
-  /// serial batch), coverage accumulation, and the kept-detections counter.
-  void CommitBatch(const std::vector<FrameContext*>& batch,
-                   PipelineResult* result);
+  /// charge is amortized. In a fault run, a detect.invoke fault that
+  /// persists for kMaxFaultAttempts returns kIoError: the clip has no
+  /// result.
+  Status ProcessBatch(const std::vector<FrameContext*>& batch,
+                      PipelineResult* result) override;
 
   void EndClip(PipelineResult* result) override;
+
+  /// Transient detect.invoke faults this stage retried in place.
+  int retries() const { return retries_; }
 
  private:
   const PipelineConfig& config_;
   const sim::Clip& clip_;
   models::SimulatedDetector detector_;
-  DetectBatchFn detect_batch_fn_;  // Empty => direct DetectBatch.
   double coverage_sum_ = 0.0;
   int coverage_frames_ = 0;
+  int retries_ = 0;
 };
 
 /// Streams detections into the configured tracker (SORT or the recurrent
@@ -333,6 +285,10 @@ class RefineStage : public Stage {
   const TrainedModels* trained_;
   const sim::Clip& clip_;
 };
+
+/// Attempts a stage makes at one batch's model invocation while an injected
+/// transient fault keeps firing, before it gives up on the clip.
+constexpr int kMaxFaultAttempts = 4;
 
 /// Simulated decode seconds for a clip at the configured gap and detector
 /// resolution (shared by DecodeStage and Pipeline::DecodeSecondsForClip).

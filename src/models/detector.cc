@@ -134,29 +134,6 @@ std::vector<track::FrameDetections> SimulatedDetector::DetectBatch(
   return out;
 }
 
-std::vector<std::vector<track::FrameDetections>>
-SimulatedDetector::DetectBatchMulti(
-    const std::vector<ClipBatchRequest>& requests, double scale) const {
-  OTIF_CHECK_GT(scale, 0.0);
-  OTIF_CHECK_LE(scale, 1.0);
-  std::vector<std::vector<track::FrameDetections>> out;
-  out.reserve(requests.size());
-  for (const ClipBatchRequest& req : requests) {
-    OTIF_CHECK(req.clip != nullptr);
-    // The frame-independent seed material is hoisted per clip slice; the
-    // per-frame emission is the same seeded path as Detect/DetectBatch.
-    const uint64_t base = DetectSeedBase(*req.clip, arch_, scale);
-    std::vector<track::FrameDetections> dets;
-    dets.reserve(req.frames.size());
-    for (int frame : req.frames) {
-      dets.push_back(
-          DetectSeeded(*req.clip, frame, scale, base ^ FrameSeedTerm(frame)));
-    }
-    out.push_back(std::move(dets));
-  }
-  return out;
-}
-
 track::FrameDetections SimulatedDetector::DetectSeeded(const sim::Clip& clip,
                                                        int frame, double scale,
                                                        uint64_t seed) const {

@@ -34,8 +34,8 @@ bool ParseQueryString(std::string_view query,
 ///             committed frames within `stall_seconds` (or no run is in
 ///             flight), 503 once it has not. JSON body with the verdict.
 ///   /statusz  JSON run status (shared json_writer): phase, per-clip
-///             frames committed/total, executor channel depths and batcher
-///             fill, buffer-pool bytes, uptimes.
+///             frames committed/total, quarantined clips, buffer-pool
+///             bytes, uptimes.
 ///   /tracez   Last-N completed spans paired up from the seqlock timeline
 ///             rings (requires timeline collection to be armed; reports
 ///             timeline_armed so scrapers can tell "off" from "idle").

@@ -44,14 +44,10 @@ Registry& GetRegistry() {
 bool ParseKind(std::string_view text, Kind* out) {
   if (text == "error") {
     *out = Kind::kError;
-  } else if (text == "corrupt") {
-    *out = Kind::kCorrupt;
   } else if (text == "stall") {
     *out = Kind::kStall;
   } else if (text == "deny") {
     *out = Kind::kDeny;
-  } else if (text == "close") {
-    *out = Kind::kClose;
   } else {
     return false;
   }

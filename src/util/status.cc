@@ -23,8 +23,8 @@ const char* StatusCodeName(StatusCode code) {
       return "Unimplemented";
     case StatusCode::kIoError:
       return "IoError";
-    case StatusCode::kCancelled:
-      return "Cancelled";
+    case StatusCode::kUnavailable:
+      return "Unavailable";
   }
   return "Unknown";
 }

@@ -19,7 +19,9 @@ enum class StatusCode : uint8_t {
   kInternal,
   kUnimplemented,
   kIoError,
-  kCancelled,
+  /// An optional component (e.g. the proxy model) is unavailable; the
+  /// caller may proceed without it.
+  kUnavailable,
 };
 
 /// Returns a stable human-readable name for a status code ("InvalidArgument").
@@ -58,8 +60,8 @@ class Status {
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));
   }
-  static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
+  static Status Unavailable(std::string msg) {
+    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

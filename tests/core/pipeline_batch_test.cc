@@ -78,11 +78,11 @@ void CheckBatchInvariance(PipelineConfig config,
                           const sim::Clip& clip) {
   config.frame_batch = 1;
   if (trained != nullptr) trained->proxy_cache.Clear();
-  const PipelineResult per_frame = Pipeline(config, trained).Run(clip);
+  const PipelineResult per_frame = *Pipeline(config, trained).Run(clip);
   for (int batch : {4, 32}) {
     config.frame_batch = batch;
     if (trained != nullptr) trained->proxy_cache.Clear();
-    const PipelineResult batched = Pipeline(config, trained).Run(clip);
+    const PipelineResult batched = *Pipeline(config, trained).Run(clip);
     ExpectSameOutputs(per_frame, batched);
     // Batching can only merge detector invocations, never add them: the
     // detect charge is monotonically non-increasing in the batch size.
@@ -131,9 +131,9 @@ TEST(PipelineBatchTest, FrameBatchLargerThanSampledFrames) {
   config.sampling_gap = 32;
 
   config.frame_batch = 1;
-  const PipelineResult per_frame = Pipeline(config, nullptr).Run(clip);
+  const PipelineResult per_frame = *Pipeline(config, nullptr).Run(clip);
   config.frame_batch = 64;
-  const PipelineResult batched = Pipeline(config, nullptr).Run(clip);
+  const PipelineResult batched = *Pipeline(config, nullptr).Run(clip);
   ExpectSameOutputs(per_frame, batched);
   EXPECT_EQ(per_frame.frames_processed, 4);
   const models::DetectorArch arch = models::ArchByName(
@@ -171,11 +171,11 @@ TEST(PipelineBatchTest, BatchingAmortizesFullFrameInvocationOverhead) {
   PipelineConfig config;  // Full-frame detection on every frame.
   config.frame_batch = 1;
   const double solo =
-      Pipeline(config, nullptr).Run(clip).clock.Seconds(
+      Pipeline(config, nullptr).Run(clip)->clock.Seconds(
           models::CostCategory::kDetect);
   config.frame_batch = 8;
   const double batched =
-      Pipeline(config, nullptr).Run(clip).clock.Seconds(
+      Pipeline(config, nullptr).Run(clip)->clock.Seconds(
           models::CostCategory::kDetect);
   const models::DetectorArch arch = models::ArchByName(
       models::StandardDetectorArchs(), "yolov3");

@@ -283,7 +283,7 @@ TEST_F(PipelineStagesDeterminismTest, ProxyRendersOnlyCacheMisses) {
   // Frames render on demand: the proxy renders a frame only when its score
   // lookup misses, and SORT never reads pixels. The proxy/render span counts
   // the proxy's renders, so a cold run shows exactly one per miss and a warm
-  // run (every lookup hits) none, under both executors.
+  // run (every lookup hits) none.
   const auto trained = MakeTrained(clips_);
   PipelineConfig config;
   config.tracker = TrackerKind::kSort;
@@ -299,22 +299,18 @@ TEST_F(PipelineStagesDeterminismTest, ProxyRendersOnlyCacheMisses) {
         telemetry::FindSpan(snapshot, "proxy/render");
     return span == nullptr ? int64_t{0} : span->count;
   };
-  for (const ExecutorKind kind :
-       {ExecutorKind::kSerial, ExecutorKind::kStreaming}) {
-    SCOPED_TRACE(ExecutorKindName(kind));
-    trained->proxy_cache.Clear();
-    telemetry::ResetAll();
-    const int64_t misses_before = trained->proxy_cache.misses();
-    EvaluateConfigWith(kind, config, trained.get(), clips_, fn);
-    const int64_t misses = trained->proxy_cache.misses() - misses_before;
-    EXPECT_GT(misses, 0);
-    EXPECT_EQ(renders(), misses);
+  trained->proxy_cache.Clear();
+  telemetry::ResetAll();
+  const int64_t misses_before = trained->proxy_cache.misses();
+  EvaluateConfig(config, trained.get(), clips_, fn);
+  const int64_t misses = trained->proxy_cache.misses() - misses_before;
+  EXPECT_GT(misses, 0);
+  EXPECT_EQ(renders(), misses);
 
-    telemetry::ResetAll();
-    EvaluateConfigWith(kind, config, trained.get(), clips_, fn);
-    EXPECT_EQ(trained->proxy_cache.misses() - misses_before, misses);
-    EXPECT_EQ(renders(), 0);
-  }
+  telemetry::ResetAll();
+  EvaluateConfig(config, trained.get(), clips_, fn);
+  EXPECT_EQ(trained->proxy_cache.misses() - misses_before, misses);
+  EXPECT_EQ(renders(), 0);
   telemetry::SetEnabled(telemetry_was_enabled);
 }
 

@@ -162,7 +162,7 @@ TEST_F(PipelineTelemetryTest, StageSimSecondsMatchTheRunClock) {
   const Pipeline pipeline(config, nullptr);
   models::SimClock merged;
   for (const sim::Clip& clip : clips_) {
-    merged.Merge(pipeline.Run(clip).clock);
+    merged.Merge(pipeline.Run(clip)->clock);
   }
 
   const telemetry::TelemetrySnapshot snapshot = telemetry::CaptureSnapshot();
@@ -190,7 +190,7 @@ TEST_F(PipelineTelemetryTest, StageSpansCoverEveryStageAndFrame) {
   config.tracker = TrackerKind::kSort;
   config.sampling_gap = 4;
   const Pipeline pipeline(config, nullptr);
-  const PipelineResult result = pipeline.Run(clips_[0]);
+  const PipelineResult result = *pipeline.Run(clips_[0]);
 
   const telemetry::TelemetrySnapshot snapshot = telemetry::CaptureSnapshot();
   for (const char* name :
@@ -214,7 +214,7 @@ TEST_F(PipelineTelemetryTest, DisabledRunsRecordNoPipelineTelemetry) {
   telemetry::SetEnabled(false);
   PipelineConfig config;
   const Pipeline pipeline(config, nullptr);
-  pipeline.Run(clips_[0]);
+  ASSERT_TRUE(pipeline.Run(clips_[0]).ok());
   const telemetry::TelemetrySnapshot snapshot = telemetry::CaptureSnapshot();
   const telemetry::CounterSample* runs =
       telemetry::FindCounter(snapshot, "pipeline.runs");

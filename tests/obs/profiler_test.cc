@@ -2,7 +2,7 @@
 // inclusive top-frames) over hand-built profiles, a live Start/Stop window
 // over a known busy loop (symbolization must find the loop; stage and clip
 // attribution must join in), option validation, and the bit-identity
-// contract — a streaming run with the profiler sampling must match the
+// contract — a scheduler run with the profiler sampling must match the
 // profiler-off run exactly. Live-sampling tests self-skip under sanitizers
 // (the profiler refuses to start there by design).
 
@@ -16,8 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "core/executor/streaming_executor.h"
+#include "core/best_config.h"
 #include "core/pipeline.h"
+#include "models/cost_model.h"
 #include "sim/dataset.h"
 #include "util/status.h"
 #include "util/telemetry.h"
@@ -212,31 +213,46 @@ TEST(ProfilerTest, ProfileForRunsOneBoundedWindow) {
   EXPECT_FALSE(CpuProfiler::Global().running());
 }
 
-/// Exact equality over the same observables the executor tests compare.
-void ExpectSameResult(const core::PipelineResult& a,
-                      const core::PipelineResult& b, size_t clip) {
-  EXPECT_EQ(a.frames_processed, b.frames_processed) << "clip " << clip;
-  EXPECT_EQ(a.detections_kept, b.detections_kept) << "clip " << clip;
-  ASSERT_EQ(a.tracks.size(), b.tracks.size()) << "clip " << clip;
-  for (size_t t = 0; t < a.tracks.size(); ++t) {
-    EXPECT_EQ(a.tracks[t].id, b.tracks[t].id);
-    ASSERT_EQ(a.tracks[t].detections.size(), b.tracks[t].detections.size());
-    for (size_t d = 0; d < a.tracks[t].detections.size(); ++d) {
-      const track::Detection& da = a.tracks[t].detections[d];
-      const track::Detection& db = b.tracks[t].detections[d];
-      EXPECT_EQ(da.frame, db.frame);
-      EXPECT_EQ(da.box.cx, db.box.cx);
-      EXPECT_EQ(da.box.cy, db.box.cy);
-      EXPECT_EQ(da.box.w, db.box.w);
-      EXPECT_EQ(da.box.h, db.box.h);
-      EXPECT_EQ(da.confidence, db.confidence);
+/// Exact equality across the observables the scheduler tests also compare:
+/// the simulated clock per category and every track of every clip.
+void ExpectSameResult(const core::EvalResult& a, const core::EvalResult& b) {
+  for (int cat = 0; cat < models::kNumCostCategories; ++cat) {
+    const auto category = static_cast<models::CostCategory>(cat);
+    EXPECT_EQ(a.clock.Seconds(category), b.clock.Seconds(category))
+        << "category " << cat;
+  }
+  ASSERT_EQ(a.tracks_per_clip.size(), b.tracks_per_clip.size());
+  for (size_t clip = 0; clip < a.tracks_per_clip.size(); ++clip) {
+    const std::vector<track::Track>& ta = a.tracks_per_clip[clip];
+    const std::vector<track::Track>& tb = b.tracks_per_clip[clip];
+    ASSERT_EQ(ta.size(), tb.size()) << "clip " << clip;
+    for (size_t t = 0; t < ta.size(); ++t) {
+      EXPECT_EQ(ta[t].id, tb[t].id);
+      ASSERT_EQ(ta[t].detections.size(), tb[t].detections.size());
+      for (size_t d = 0; d < ta[t].detections.size(); ++d) {
+        const track::Detection& da = ta[t].detections[d];
+        const track::Detection& db = tb[t].detections[d];
+        EXPECT_EQ(da.frame, db.frame);
+        EXPECT_EQ(da.box.cx, db.box.cx);
+        EXPECT_EQ(da.box.cy, db.box.cy);
+        EXPECT_EQ(da.box.w, db.box.w);
+        EXPECT_EQ(da.box.h, db.box.h);
+        EXPECT_EQ(da.confidence, db.confidence);
+      }
     }
   }
 }
 
+/// Counts tracks; the runs compared here only need a pure accuracy function.
+double TrackCount(const std::vector<std::vector<track::Track>>& tracks) {
+  size_t n = 0;
+  for (const auto& clip : tracks) n += clip.size();
+  return static_cast<double>(n);
+}
+
 // The bit-identity acceptance gate: sampling must never feed back into
 // pipeline state. SA_RESTART keeps interrupted syscalls transparent and the
-// handler only reads thread-locals and writes its own ring, so a streaming
+// handler only reads thread-locals and writes its own ring, so a scheduler
 // run under full-rate sampling must equal the unprofiled run bit for bit.
 TEST(ProfilerTest, RunsAreBitIdenticalWithProfilerOnOrOff) {
   std::vector<sim::Clip> clips;
@@ -250,27 +266,20 @@ TEST(ProfilerTest, RunsAreBitIdenticalWithProfilerOnOrOff) {
   ThreadPool::SetDefaultThreads(4);
 
   // Reference: profiler off.
-  core::StreamingExecutor off_executor(config, nullptr,
-                                       core::StreamingOptions{});
-  StatusOr<core::StreamingRunReport> off = off_executor.Run(clips);
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  const core::EvalResult off =
+      core::EvaluateConfig(config, nullptr, clips, TrackCount);
 
   // Same run sampled at full rate.
   ProfilerOptions options;
   options.hz = 997;
   const bool profiling = StartOrSkip(options);
-  core::StreamingExecutor on_executor(config, nullptr,
-                                      core::StreamingOptions{});
-  StatusOr<core::StreamingRunReport> on = on_executor.Run(clips);
+  const core::EvalResult on =
+      core::EvaluateConfig(config, nullptr, clips, TrackCount);
   if (profiling) {
     StatusOr<Profile> profile = CpuProfiler::Global().Stop();
     EXPECT_TRUE(profile.ok()) << profile.status().ToString();
   }
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-  ASSERT_EQ(on->results.size(), off->results.size());
-  for (size_t c = 0; c < off->results.size(); ++c) {
-    ExpectSameResult(off->results[c], on->results[c], c);
-  }
+  ExpectSameResult(off, on);
   ThreadPool::SetDefaultThreads(1);
   if (!profiling) GTEST_SKIP() << "compared without sampling (sanitizer)";
 }

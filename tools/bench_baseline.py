@@ -5,8 +5,6 @@ Builds a machine-readable perf baseline from the end-to-end benches:
 
   * bench_throughput  -- clips/sec per worker count, per-stage wall seconds,
                          queue-depth percentiles, proxy cache hit rate
-  * bench_throughput --executor=streaming -- clips/sec and achieved
-                         cross-clip detector batch size per worker count
   * bench_fig6_cost_breakdown (OTIF_BENCH_JSON=...) -- per-stage simulated
                          and wall seconds for the tuned OTIF configuration
 
@@ -43,11 +41,11 @@ import tempfile
 SIM_STAGES = ("decode", "proxy", "detect", "track", "refine")
 
 
-def run_throughput(build_dir, clips, frames, executor="serial"):
+def run_throughput(build_dir, clips, frames):
     exe = os.path.join(build_dir, "bench", "bench_throughput")
     env = dict(os.environ, OTIF_LOG_LEVEL="warning")
     out = subprocess.run(
-        [exe, f"--executor={executor}", str(clips), str(frames)],
+        [exe, str(clips), str(frames)],
         check=True, stdout=subprocess.PIPE, env=env)
     return json.loads(out.stdout)
 
@@ -67,29 +65,22 @@ def run_cost_breakdown(build_dir, scale):
 
 
 def load_or_run(args):
-    """Returns (throughput, streaming_throughput, cost) reports from files
-    or fresh runs."""
+    """Returns (throughput, cost) reports from files or fresh runs."""
     if args.from_throughput:
         with open(args.from_throughput) as f:
             throughput = json.load(f)
     else:
         throughput = run_throughput(args.build_dir, args.clips, args.frames)
-    if args.from_throughput_streaming:
-        with open(args.from_throughput_streaming) as f:
-            streaming = json.load(f)
-    else:
-        streaming = run_throughput(args.build_dir, args.clips, args.frames,
-                                   executor="streaming")
     if args.from_cost:
         with open(args.from_cost) as f:
             cost = json.load(f)
     else:
         cost = run_cost_breakdown(args.build_dir, args.scale)
-    return throughput, streaming, cost
+    return throughput, cost
 
 
-def build_baseline(throughput, streaming, cost, args):
-    """Distills the three bench reports into the committed baseline shape."""
+def build_baseline(throughput, cost, args):
+    """Distills the two bench reports into the committed baseline shape."""
     sweep = {}
     for entry in throughput["results"]:
         sweep[str(entry["workers"])] = {
@@ -102,19 +93,12 @@ def build_baseline(throughput, streaming, cost, args):
                 "pool_hit_rate": entry["memory"]["pool_hit_rate"],
             },
         }
-    streaming_sweep = {}
-    for entry in streaming["results"]:
-        streaming_sweep[str(entry["workers"])] = {
-            "clips_per_sec": entry["clips_per_sec"],
-            "detect_batch_mean": entry["detect_batch"]["mean_frames"],
-        }
     return {
         "schema": 3,
         "workload": {"clips": throughput["clips"],
                      "frames_per_clip": throughput["frames_per_clip"],
                      "scale": args.scale},
         "throughput": sweep,
-        "throughput_streaming": streaming_sweep,
         "cost_breakdown": {
             "stages": {k: cost["stages"][k] for k in SIM_STAGES},
             "sim_total": cost["sim_total"],
@@ -124,8 +108,8 @@ def build_baseline(throughput, streaming, cost, args):
 
 
 def cmd_record(args):
-    throughput, streaming, cost = load_or_run(args)
-    baseline = build_baseline(throughput, streaming, cost, args)
+    throughput, cost = load_or_run(args)
+    baseline = build_baseline(throughput, cost, args)
     with open(args.out, "w") as f:
         json.dump(baseline, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -137,8 +121,8 @@ def cmd_record(args):
 def cmd_compare(args):
     with open(args.baseline) as f:
         baseline = json.load(f)
-    throughput, streaming, cost = load_or_run(args)
-    current = build_baseline(throughput, streaming, cost, args)
+    throughput, cost = load_or_run(args)
+    current = build_baseline(throughput, cost, args)
 
     if baseline.get("workload") != current["workload"]:
         print(f"note: workload differs (baseline {baseline.get('workload')}"
@@ -211,24 +195,6 @@ def cmd_compare(args):
             if w == "1" and hit_bad:
                 failures.append(f"throughput[{w}].mem.pool_hit_rate")
 
-    base_streaming = baseline.get("throughput_streaming")
-    if base_streaming is None:
-        print("note: baseline predates the streaming executor "
-              "(no throughput_streaming section); skipping")
-    else:
-        cur_streaming = current["throughput_streaming"]
-        common_s = sorted(set(base_streaming) & set(cur_streaming), key=int)
-        for w in common_s:
-            b, c = base_streaming[w], cur_streaming[w]
-            check(f"throughput_streaming[{w}].clips_per_sec",
-                  b["clips_per_sec"], c["clips_per_sec"],
-                  "higher-better-wall")
-            # The achieved cross-clip batch size is scheduling-dependent
-            # (deadline releases); report it but don't gate on it.
-            check(f"throughput_streaming[{w}].detect_batch_mean",
-                  b["detect_batch_mean"], c["detect_batch_mean"],
-                  "higher-better-wall", gate=False)
-
     bc, cc = baseline["cost_breakdown"], current["cost_breakdown"]
     for stage in SIM_STAGES:
         check(f"cost_breakdown.sim_seconds.{stage}",
@@ -275,9 +241,6 @@ def main():
                        help="OTIF_BENCH_SCALE for the cost breakdown")
         p.add_argument("--from-throughput", metavar="FILE",
                        help="reuse a captured bench_throughput report")
-        p.add_argument("--from-throughput-streaming", metavar="FILE",
-                       help="reuse a captured bench_throughput "
-                            "--executor=streaming report")
         p.add_argument("--from-cost", metavar="FILE",
                        help="reuse a captured OTIF_BENCH_JSON report")
 

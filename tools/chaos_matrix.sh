@@ -1,19 +1,14 @@
 #!/usr/bin/env bash
-# Chaos matrix: runs the streaming bench under every fault site x kind the
+# Chaos matrix: runs the default bench under every fault site x kind the
 # injection layer instruments, at rates high enough to exercise the
 # recovery paths (retry, quarantine, proxy degrade, allocation denial,
-# stalled producers). Every run must exit 0 — the executor's contract is
-# that injected faults are survived, not that they are avoided.
+# stalls). Every run must exit 0 — the clip scheduler's contract is that
+# injected faults are survived, not that they are avoided.
 #
 # Usage: tools/chaos_matrix.sh [build_dir] [clips] [frames_per_clip]
 #
 # Flight-recorder dumps (armed via OTIF_DUMP_ON_ERROR) land under
 # <build_dir>/chaos_dumps/ so CI can upload them when a run fails.
-#
-# The executor channel sites deliberately run only the stall kind here: an
-# injected mid-run channel *close* tears the pipeline down, which Run
-# reports as a clean Internal error — a graceful-shutdown path covered by
-# unit tests, not a recovery path this matrix asserts exit-0 on.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,15 +25,8 @@ fi
 mkdir -p "$DUMP_DIR"
 
 SPECS=(
-  # Decoder site. The simulated streaming pipeline renders frames through
-  # the rasterizer (decode is a modeled cost), so these specs verify that
-  # an armed-but-unreached site never perturbs a run; the firing behavior
-  # itself is covered by the codec unit tests.
-  'decode.frame:error:0.02:11'
-  'decode.frame:corrupt:0.1:12'
-  'decode.frame:stall:0.05:13:ms=1'
-  # Proxy invocation: persistent failure degrades to full-frame detection;
-  # transient failure retries; stalls just slow the stage down.
+  # Proxy invocation: persistent failure re-runs the clip without the
+  # proxy; transient failure retries; stalls just slow the stage down.
   'proxy.invoke:error:1:21'
   'proxy.invoke:error:0.5:22'
   'proxy.invoke:stall:0.3:23:ms=2'
@@ -47,17 +35,10 @@ SPECS=(
   'detect.invoke:error:1:31:clip=0'
   'detect.invoke:error:0.5:32'
   'detect.invoke:stall:0.3:33:ms=2'
-  # Executor channels and batchers: stalled producers exercise deadline
-  # wave releases and backpressure under lag.
-  'channel.proxy:stall:0.2:41:ms=1'
-  'channel.detect:stall:0.2:42:ms=1'
-  'channel.commit:stall:0.2:43:ms=1'
-  'batcher.proxy.submit:stall:0.2:44:ms=1'
-  'batcher.detect.submit:stall:0.2:45:ms=1'
   # Buffer pool: allocation denial forces heap misses, never failures.
   'mem.acquire:deny:0.5:51'
   # Everything at once.
-  'decode.frame:corrupt:0.05:61,proxy.invoke:error:0.3:62,detect.invoke:error:0.3:63,channel.detect:stall:0.1:64:ms=1,mem.acquire:deny:0.3:65'
+  'proxy.invoke:error:0.3:62,detect.invoke:error:0.3:63,mem.acquire:deny:0.3:65'
 )
 
 fail=0
@@ -67,7 +48,7 @@ for spec in "${SPECS[@]}"; do
   echo "== chaos: OTIF_FAULTS='$spec' =="
   if ! OTIF_LOG_LEVEL=warning OTIF_FAULTS="$spec" \
       OTIF_DUMP_ON_ERROR=1 OTIF_DUMP_PATH="$DUMP_DIR/$tag.json" \
-      "$BENCH" --executor=streaming "$CLIPS" "$FRAMES" \
+      "$BENCH" "$CLIPS" "$FRAMES" \
       > "$DUMP_DIR/$tag.report.json"; then
     echo "ERROR: chaos run failed for spec: $spec" >&2
     fail=1

@@ -11,8 +11,8 @@ against 127.0.0.1:<port>:
               `# TYPE` comment or a sample, names match the exposition
               grammar, histogram buckets are cumulative and agree with
               their `_count`.
-  - /statusz  is JSON with the documented sections (phase, run, executor,
-              pool) and per-clip `committed` counters that advance
+  - /statusz  is JSON with the documented sections (phase, run, pool)
+              and per-clip `committed` counters that advance
               monotonically within one run generation (`run.seq`).
   - /healthz  answers throughout, and flips to 503 "stalled" during the
               induced post-run pause (the bench's OTIF_BENCH_STALL_SEC run,
@@ -132,7 +132,7 @@ def validate_metrics(status, content_type, body):
 
 
 def validate_statusz_schema(doc):
-    for key in ("phase", "process_uptime_seconds", "run", "executor", "pool"):
+    for key in ("phase", "process_uptime_seconds", "run", "pool"):
         if key not in doc:
             die(f"/statusz missing key {key!r}: {sorted(doc)}")
     run = doc["run"]
@@ -148,9 +148,6 @@ def validate_statusz_schema(doc):
         for key in ("clip", "reason"):
             if key not in entry:
                 die(f"/statusz quarantined entry missing {key!r}: {entry}")
-    for key in ("channels", "batchers"):
-        if key not in doc["executor"]:
-            die(f"/statusz executor missing {key!r}")
     for key in ("hits", "misses", "bytes_in_flight"):
         if key not in doc["pool"]:
             die(f"/statusz pool missing {key!r}")
