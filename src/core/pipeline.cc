@@ -16,7 +16,7 @@ namespace otif::core {
 namespace {
 
 /// Telemetry for one pipeline stage: a wall-clock span (driver-measured,
-/// covers BeginClip + per-frame work + EndClip) and a simulated-seconds
+/// covers BeginClip + every ProcessBatch + EndClip) and a simulated-seconds
 /// accumulator fed from the run's SimClock. The five stages map 1:1 onto
 /// the first five cost categories, so Figure 6's breakdown and the live
 /// instrumentation read the same accumulators.
@@ -127,10 +127,6 @@ Pipeline::Pipeline(PipelineConfig config, const TrainedModels* trained)
   }
 }
 
-double Pipeline::DecodeSecondsForClip(const sim::Clip& clip) const {
-  return SimulatedDecodeSeconds(config_, clip);
-}
-
 StatusOr<PipelineResult> Pipeline::Run(const sim::Clip& clip,
                                        int* retries) const {
   // Umbrella span for the whole clip: on the timeline each clip shows as
@@ -159,17 +155,17 @@ StatusOr<PipelineResult> Pipeline::Run(const sim::Clip& clip,
   };
 
   // Each stage call runs under its stage's wall-clock span; the span sites
-  // aggregate (count, total, min, max) with relaxed atomics, so the
-  // per-frame cost is two clock reads per stage when telemetry is on and
-  // one relaxed load when it is off.
+  // aggregate (count, total, min, max) with relaxed atomics, so each call
+  // costs two clock reads per stage when telemetry is on and one relaxed
+  // load when it is off.
   for (int s = 0; s < kNumStages; ++s) {
     telemetry::ScopedSpan span(stage_telemetry[static_cast<size_t>(s)].span);
     stages[s]->BeginClip(&result);
   }
   // Sampled frames run through the stages in batches: each stage sees a
-  // group of frame_batch consecutive contexts per call, so batched stages
-  // issue one model invocation per group while unbatched stages fall back
-  // to the per-frame loop. One stage span per batch instead of per frame.
+  // group of frame_batch consecutive contexts per call, so the proxy and the
+  // detector issue one model invocation per group. One stage span per batch
+  // instead of per frame.
   //
   // Context slots are allocated once and re-armed per group (Reset keeps
   // the low-res render buffer and vector capacities), so the hot loop does

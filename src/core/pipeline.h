@@ -78,9 +78,6 @@ struct PipelineResult {
   models::SimClock clock;
   int frames_processed = 0;
   int64_t detections_kept = 0;
-  /// Mean fraction of ground-truth detections covered by proxy windows
-  /// (1.0 when the proxy is disabled); diagnostic for the tuner.
-  double mean_window_coverage = 1.0;
 };
 
 /// The OTIF execution pipeline (paper Fig 2): the tracker selects frames by
@@ -104,12 +101,6 @@ class Pipeline {
   /// transient faults the run retried in place, whether or not it failed.
   StatusOr<PipelineResult> Run(const sim::Clip& clip,
                                int* retries = nullptr) const;
-
-  /// Simulated decode seconds for processing a clip at the configured gap
-  /// and resolution (frames must be decoded along codec reference chains;
-  /// decoding happens at the detector resolution, per paper Sec 4
-  /// "Implementation").
-  double DecodeSecondsForClip(const sim::Clip& clip) const;
 
  private:
   PipelineConfig config_;

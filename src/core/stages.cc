@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "track/metrics.h"
 #include "track/sort_tracker.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
@@ -140,12 +139,6 @@ void DecodeStage::BeginClip(PipelineResult* result) {
                        SimulatedDecodeSeconds(config_, clip_));
 }
 
-void DecodeStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
-  // Sampled frames arrive already decoded; the cost is clip-level.
-  (void)ctx;
-  (void)result;
-}
-
 // --- ProxyStage -------------------------------------------------------------
 
 ProxyStage::ProxyStage(const PipelineConfig& config,
@@ -169,14 +162,6 @@ ProxyStage::ProxyStage(const PipelineConfig& config,
   scaled_h_ = clip_.spec().height * scale;
 }
 
-void ProxyStage::ChargeFrame(PipelineResult* result) {
-  const models::CostConstants& costs = models::DefaultCostConstants();
-  result->clock.Charge(
-      models::CostCategory::kProxy,
-      costs.proxy_sec_per_frame +
-          costs.proxy_sec_per_pixel * proxy_->resolution().world_pixels());
-}
-
 void ProxyStage::ComputeWindows(const nn::Tensor& scores, FrameContext* ctx) {
   const CellGrid grid = CellGrid::FromScores(scores, config_.proxy_threshold);
   if (grid.CountPositive() == 0) {
@@ -187,7 +172,6 @@ void ProxyStage::ComputeWindows(const nn::Tensor& scores, FrameContext* ctx) {
   OTIF_SPAN("proxy/group_cells");
   const GroupingResult grouping =
       GroupCells(grid, scaled_sizes_, arch_, scaled_w_, scaled_h_);
-  ctx->windowed_detect_seconds = grouping.est_seconds;
   ctx->window_sizes.reserve(grouping.windows.size());
   for (const PlacedWindow& w : grouping.windows) {
     ctx->window_sizes.push_back(w.size);
@@ -195,29 +179,6 @@ void ProxyStage::ComputeWindows(const nn::Tensor& scores, FrameContext* ctx) {
   ctx->windows = WindowsToNativeRects(grouping, scaled_w_, scaled_h_,
                                       grid.grid_w, grid.grid_h,
                                       config_.detector_scale);
-}
-
-void ProxyStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
-  if (proxy_ == nullptr) return;
-  // Marked before any pixel request: it selects the proxy resolution.
-  ctx->proxy_ran = true;
-  // Cell scores are cached across tuner evaluations (many thresholds score
-  // the same frames); the cache is shared and thread-safe. Only a miss
-  // renders the frame.
-  const ProxyScoreCache::Key key = std::make_tuple(
-      clip_.clip_seed(), ctx->frame, config_.proxy_resolution_index);
-  const nn::Tensor scores = [&] {
-    OTIF_SPAN("proxy/score");
-    return trained_->proxy_cache.GetOrCompute(key, [&] {
-      const video::Image& frame = [&]() -> const video::Image& {
-        OTIF_SPAN("proxy/render");
-        return ctx->LowResFrame();
-      }();
-      return proxy_->Score(frame);
-    });
-  }();
-  ChargeFrame(result);
-  ComputeWindows(scores, ctx);
 }
 
 Status ProxyStage::ProcessBatch(const std::vector<FrameContext*>& batch,
@@ -266,10 +227,13 @@ Status ProxyStage::ProcessBatch(const std::vector<FrameContext*>& batch,
     }
   }
 
-  // One fixed charge per frame, in frame order — the same kProxy
-  // accumulation sequence the per-frame path produces.
+  // One fixed charge per frame, in frame order.
+  const models::CostConstants& costs = models::DefaultCostConstants();
+  const double frame_seconds =
+      costs.proxy_sec_per_frame +
+      costs.proxy_sec_per_pixel * proxy_->resolution().world_pixels();
   for (size_t i = 0; i < batch.size(); ++i) {
-    ChargeFrame(result);
+    result->clock.Charge(models::CostCategory::kProxy, frame_seconds);
     ComputeWindows(scores[i], batch[i]);
   }
   return Status::OK();
@@ -280,32 +244,6 @@ Status ProxyStage::ProcessBatch(const std::vector<FrameContext*>& batch,
 DetectStage::DetectStage(const PipelineConfig& config, const sim::Clip& clip,
                          const models::DetectorArch& arch)
     : config_(config), clip_(clip), detector_(arch) {}
-
-void DetectStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
-  const double scale = config_.detector_scale;
-  if (ctx->proxy_ran) {
-    if (ctx->skip_detector) {
-      coverage_sum_ += 1.0;
-      ++coverage_frames_;
-    } else {
-      result->clock.Charge(models::CostCategory::kDetect,
-                           ctx->windowed_detect_seconds);
-      ctx->detections = models::FilterByWindows(
-          detector_.Detect(clip_, ctx->frame, scale), ctx->windows);
-      coverage_sum_ += track::DetectionCoverage(
-          clip_.GroundTruthDetections(ctx->frame), ctx->windows);
-      ++coverage_frames_;
-    }
-  } else {
-    result->clock.Charge(models::CostCategory::kDetect,
-                         detector_.FullFrameSeconds(clip_, scale));
-    ctx->detections = detector_.Detect(clip_, ctx->frame, scale);
-  }
-
-  ctx->detections =
-      models::FilterByConfidence(ctx->detections, config_.detector_confidence);
-  result->detections_kept += static_cast<int64_t>(ctx->detections.size());
-}
 
 Status DetectStage::ProcessBatch(const std::vector<FrameContext*>& batch,
                                  PipelineResult* result) {
@@ -347,7 +285,7 @@ Status DetectStage::ProcessBatch(const std::vector<FrameContext*>& batch,
     // Windows come from the fixed trained size set W, so the batch's
     // windows group into few distinct shapes; each shape batches into one
     // detector invocation (uniform input shape), amortizing the
-    // per-invocation overhead that the unbatched path pays per window.
+    // per-invocation overhead.
     double pixel_seconds = 0.0;
     std::vector<WindowSize> shapes;
     for (FrameContext* ctx : windowed) {
@@ -380,27 +318,13 @@ Status DetectStage::ProcessBatch(const std::vector<FrameContext*>& batch,
             arch.sec_per_invocation);
   }
 
-  // Coverage, the confidence filter and the kept-detections counter, in
-  // frame order, exactly as the per-frame path would.
+  // The confidence filter and the kept-detections counter, in frame order.
   for (FrameContext* ctx : batch) {
-    if (ctx->proxy_ran) {
-      coverage_sum_ +=
-          ctx->skip_detector
-              ? 1.0
-              : track::DetectionCoverage(
-                    clip_.GroundTruthDetections(ctx->frame), ctx->windows);
-      ++coverage_frames_;
-    }
     ctx->detections = models::FilterByConfidence(ctx->detections,
                                                  config_.detector_confidence);
     result->detections_kept += static_cast<int64_t>(ctx->detections.size());
   }
   return Status::OK();
-}
-
-void DetectStage::EndClip(PipelineResult* result) {
-  result->mean_window_coverage =
-      coverage_frames_ > 0 ? coverage_sum_ / coverage_frames_ : 1.0;
 }
 
 // --- TrackStage -------------------------------------------------------------
@@ -421,40 +345,44 @@ TrackStage::TrackStage(const PipelineConfig& config,
   }
 }
 
-void TrackStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
+Status TrackStage::ProcessBatch(const std::vector<FrameContext*>& batch,
+                                PipelineResult* result) {
   const models::CostConstants& costs = models::DefaultCostConstants();
-  const track::FrameDetections& dets = ctx->detections;
+  const sim::DatasetSpec& spec = clip_.spec();
+  for (FrameContext* ctx : batch) {
+    const track::FrameDetections& dets = ctx->detections;
+    if (sort_tracker_ != nullptr) {
+      result->clock.Charge(
+          models::CostCategory::kTrack,
+          costs.sort_sec_per_detection * static_cast<double>(dets.size()));
+      sort_tracker_->ProcessFrame(ctx->frame, dets);
+      continue;
+    }
 
-  if (sort_tracker_ != nullptr) {
+    // Appearance statistics from the frame's low-res render (charged as
+    // tracker time). A frame without detections needs no pixels and is not
+    // rendered.
+    std::vector<std::pair<double, double>> appearance;
+    if (!dets.empty()) {
+      const video::Image& low_res = ctx->LowResFrame();
+      appearance.reserve(dets.size());
+      for (const track::Detection& d : dets) {
+        appearance.push_back(models::TrackerNet::AppearanceStats(
+            low_res, d.box, spec.width, spec.height));
+      }
+    }
+    const int64_t pairs_before = recurrent_tracker_->pair_scores_computed();
+    recurrent_tracker_->ProcessFrameWithAppearance(ctx->frame, dets,
+                                                   appearance);
+    const int64_t pairs =
+        recurrent_tracker_->pair_scores_computed() - pairs_before;
     result->clock.Charge(
         models::CostCategory::kTrack,
-        costs.sort_sec_per_detection * static_cast<double>(dets.size()));
-    sort_tracker_->ProcessFrame(ctx->frame, dets);
-    return;
+        costs.track_sec_per_frame +
+            costs.track_sec_per_detection *
+                static_cast<double>(dets.size() + pairs / 4));
   }
-
-  // Appearance statistics from the frame's low-res render (charged as
-  // tracker time). A frame without detections needs no pixels and is not
-  // rendered.
-  const sim::DatasetSpec& spec = clip_.spec();
-  std::vector<std::pair<double, double>> appearance;
-  if (!dets.empty()) {
-    const video::Image& low_res = ctx->LowResFrame();
-    appearance.reserve(dets.size());
-    for (const track::Detection& d : dets) {
-      appearance.push_back(models::TrackerNet::AppearanceStats(
-          low_res, d.box, spec.width, spec.height));
-    }
-  }
-  const int64_t pairs_before = recurrent_tracker_->pair_scores_computed();
-  recurrent_tracker_->ProcessFrameWithAppearance(ctx->frame, dets, appearance);
-  const int64_t pairs =
-      recurrent_tracker_->pair_scores_computed() - pairs_before;
-  result->clock.Charge(
-      models::CostCategory::kTrack,
-      costs.track_sec_per_frame +
-          costs.track_sec_per_detection *
-              static_cast<double>(dets.size() + pairs / 4));
+  return Status::OK();
 }
 
 void TrackStage::EndClip(PipelineResult* result) {
@@ -471,12 +399,6 @@ void TrackStage::EndClip(PipelineResult* result) {
 RefineStage::RefineStage(const PipelineConfig& config,
                          const TrainedModels* trained, const sim::Clip& clip)
     : config_(config), trained_(trained), clip_(clip) {}
-
-void RefineStage::ProcessFrame(FrameContext* ctx, PipelineResult* result) {
-  // Refinement is a clip-level post-pass over finished tracks.
-  (void)ctx;
-  (void)result;
-}
 
 void RefineStage::EndClip(PipelineResult* result) {
   if (!config_.refine || trained_ == nullptr ||

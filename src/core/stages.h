@@ -69,12 +69,9 @@ struct FrameContext {
   /// Native-coordinate detector windows covering positive proxy cells.
   std::vector<geom::BBox> windows;
   /// Detector-resolution sizes of the placed windows (drawn from the fixed
-  /// trained set W, scaled). DetectStage's batched path uses these to count
-  /// distinct window shapes when amortizing per-invocation overhead.
+  /// trained set W, scaled). DetectStage uses these to count distinct window
+  /// shapes when amortizing per-invocation overhead.
   std::vector<WindowSize> window_sizes;
-  /// Simulated cost of running the detector inside `windows` one window
-  /// per invocation (the unbatched reference charge).
-  double windowed_detect_seconds = 0.0;
 
   // --- Written by DetectStage ---
   /// Confidence-filtered detections for this frame.
@@ -106,7 +103,6 @@ struct FrameContext {
     low_res_ready_ = false;
     windows.clear();
     window_sizes.clear();
-    windowed_detect_seconds = 0.0;
     detections.clear();
   }
 
@@ -120,11 +116,11 @@ struct FrameContext {
 /// clips or threads) and driven in a fixed order:
 ///   BeginClip -> ProcessBatch (per batch of sampled frames) -> EndClip.
 /// The driver groups consecutive sampled frames into batches of
-/// PipelineConfig::frame_batch contexts; ProcessBatch defaults to calling
-/// ProcessFrame on each context in frame order, so stages without a batched
-/// implementation behave exactly as before. Stages communicate through the
-/// FrameContext and charge their simulated costs to the PipelineResult
-/// clock; no stage reaches into another's internals.
+/// PipelineConfig::frame_batch contexts (1 gives strictly per-frame
+/// execution). All three calls default to no-ops; a stage overrides the ones
+/// it has work in. Stages communicate through the FrameContext and charge
+/// their simulated costs to the PipelineResult clock; no stage reaches into
+/// another's internals.
 ///
 /// ProcessBatch returns a non-OK Status only in fault runs (OTIF_FAULTS
 /// armed): ProxyStage and DetectStage consult their invocation fault site
@@ -137,32 +133,28 @@ class Stage {
   /// Clip-level setup / one-off charges (e.g. decode cost).
   virtual void BeginClip(PipelineResult* result) { (void)result; }
 
-  /// Per-frame work; reads/writes the shared FrameContext.
-  virtual void ProcessFrame(FrameContext* ctx, PipelineResult* result) = 0;
-
-  /// Batched work over consecutive sampled frames (frame order). Override
-  /// to amortize work across the batch (batched model invocations); the
-  /// default is the sequential per-frame loop.
+  /// Work over one batch of consecutive sampled frames, in frame order;
+  /// reads and writes the batch's FrameContexts.
   virtual Status ProcessBatch(const std::vector<FrameContext*>& batch,
                               PipelineResult* result) {
-    for (FrameContext* ctx : batch) ProcessFrame(ctx, result);
+    (void)batch;
+    (void)result;
     return Status::OK();
   }
 
-  /// Clip-level teardown: emit tracks, aggregate diagnostics.
+  /// Clip-level teardown (e.g. emit tracks).
   virtual void EndClip(PipelineResult* result) { (void)result; }
 };
 
 /// Charges the simulated video-decode cost for the clip (frames must be
 /// decoded along codec reference chains at the detector resolution; paper
-/// Sec 4 "Implementation"). Per-frame work is a no-op — sampled frames
-/// arrive already decoded.
+/// Sec 4 "Implementation"). It has no per-frame work: sampled frames arrive
+/// already decoded.
 class DecodeStage : public Stage {
  public:
   DecodeStage(const PipelineConfig& config, const sim::Clip& clip);
 
   void BeginClip(PipelineResult* result) override;
-  void ProcessFrame(FrameContext* ctx, PipelineResult* result) override;
 
  private:
   const PipelineConfig& config_;
@@ -171,22 +163,18 @@ class DecodeStage : public Stage {
 
 /// Runs the segmentation proxy model: looks up each frame's cell scores in
 /// the shared ProxyScoreCache, renders and scores only the misses, groups
-/// positive cells into detector windows, and publishes the windows plus the
-/// windowed detector cost estimate. A cache hit needs no pixels, so a frame
-/// whose scores are cached is never rendered here. No-op when the proxy is
-/// disabled.
+/// positive cells into detector windows, and publishes the windows. A cache
+/// hit needs no pixels, so a frame whose scores are cached is never rendered
+/// here. No-op when the proxy is disabled.
 class ProxyStage : public Stage {
  public:
   ProxyStage(const PipelineConfig& config, const TrainedModels* trained,
              const sim::Clip& clip, const models::DetectorArch& arch);
 
-  void ProcessFrame(FrameContext* ctx, PipelineResult* result) override;
-
-  /// Batched proxy pass: looks up every frame, renders the cache misses and
-  /// scores them in a single batched network invocation before grouping
-  /// cells per frame. Identical per-frame results to ProcessFrame. In a
-  /// fault run, a proxy.invoke fault that persists for kMaxFaultAttempts
-  /// returns kUnavailable: the clip can still run without the proxy.
+  /// Looks up every frame, renders the cache misses and scores them in one
+  /// batched network invocation, then groups cells per frame. In a fault
+  /// run, a proxy.invoke fault that persists for kMaxFaultAttempts returns
+  /// kUnavailable: the clip can still run without the proxy.
   Status ProcessBatch(const std::vector<FrameContext*>& batch,
                       PipelineResult* result) override;
 
@@ -197,8 +185,6 @@ class ProxyStage : public Stage {
   /// Post-scoring work: threshold cells and group them into detector
   /// windows for one frame.
   void ComputeWindows(const nn::Tensor& scores, FrameContext* ctx);
-  /// Charges the fixed per-frame proxy cost.
-  void ChargeFrame(PipelineResult* result);
 
   const PipelineConfig& config_;
   const TrainedModels* trained_;  // Null iff the proxy is disabled.
@@ -215,27 +201,20 @@ class ProxyStage : public Stage {
 
 /// Runs the (simulated) object detector: inside the proxy's windows when
 /// they exist, over the full frame otherwise; skips entirely on
-/// proxy-empty frames. Applies the confidence filter and accumulates the
-/// window-coverage diagnostic.
+/// proxy-empty frames. Applies the confidence filter.
 class DetectStage : public Stage {
  public:
   DetectStage(const PipelineConfig& config, const sim::Clip& clip,
               const models::DetectorArch& arch);
 
-  void ProcessFrame(FrameContext* ctx, PipelineResult* result) override;
-
-  /// Batched detect pass: aggregates the batch's frames into one detector
-  /// invocation per group (windowed frames batch per distinct window shape,
-  /// full frames share one shape), charging the per-invocation overhead
-  /// once per group instead of once per window/frame. Detections are
-  /// bit-identical to the per-frame path; only the simulated overhead
-  /// charge is amortized. In a fault run, a detect.invoke fault that
-  /// persists for kMaxFaultAttempts returns kIoError: the clip has no
-  /// result.
+  /// Aggregates the batch's frames into one detector invocation per group
+  /// (windowed frames batch per distinct window shape, full frames share one
+  /// shape), charging the per-invocation overhead once per group. Detections
+  /// do not depend on the grouping; only the simulated overhead charge is
+  /// amortized. In a fault run, a detect.invoke fault that persists for
+  /// kMaxFaultAttempts returns kIoError: the clip has no result.
   Status ProcessBatch(const std::vector<FrameContext*>& batch,
                       PipelineResult* result) override;
-
-  void EndClip(PipelineResult* result) override;
 
   /// Transient detect.invoke faults this stage retried in place.
   int retries() const { return retries_; }
@@ -244,23 +223,22 @@ class DetectStage : public Stage {
   const PipelineConfig& config_;
   const sim::Clip& clip_;
   models::SimulatedDetector detector_;
-  double coverage_sum_ = 0.0;
-  int coverage_frames_ = 0;
   int retries_ = 0;
 };
 
 /// Streams detections into the configured tracker (SORT or the recurrent
-/// reduced-rate model) and emits the finished tracks at clip end. The
-/// recurrent path derives appearance statistics from the frame's
-/// FrameContext::LowResFrame, asking only on frames with detections (it
-/// reuses the proxy's render when the proxy rendered that frame); SORT
-/// never reads pixels.
+/// reduced-rate model) one frame at a time, in frame order, and emits the
+/// finished tracks at clip end. The recurrent path derives appearance
+/// statistics from the frame's FrameContext::LowResFrame, asking only on
+/// frames with detections (it reuses the proxy's render when the proxy
+/// rendered that frame); SORT never reads pixels.
 class TrackStage : public Stage {
  public:
   TrackStage(const PipelineConfig& config, const TrainedModels* trained,
              const sim::Clip& clip);
 
-  void ProcessFrame(FrameContext* ctx, PipelineResult* result) override;
+  Status ProcessBatch(const std::vector<FrameContext*>& batch,
+                      PipelineResult* result) override;
   void EndClip(PipelineResult* result) override;
 
  private:
@@ -277,7 +255,6 @@ class RefineStage : public Stage {
   RefineStage(const PipelineConfig& config, const TrainedModels* trained,
               const sim::Clip& clip);
 
-  void ProcessFrame(FrameContext* ctx, PipelineResult* result) override;
   void EndClip(PipelineResult* result) override;
 
  private:
@@ -291,7 +268,9 @@ class RefineStage : public Stage {
 constexpr int kMaxFaultAttempts = 4;
 
 /// Simulated decode seconds for a clip at the configured gap and detector
-/// resolution (shared by DecodeStage and Pipeline::DecodeSecondsForClip).
+/// resolution (frames are decoded along codec reference chains at the
+/// detector resolution, paper Sec 4 "Implementation"); DecodeStage charges
+/// it at BeginClip.
 double SimulatedDecodeSeconds(const PipelineConfig& config,
                               const sim::Clip& clip);
 

@@ -248,6 +248,10 @@ IntrospectionServer::IntrospectionServer(const Options& options)
 
 StatusOr<std::unique_ptr<IntrospectionServer>> IntrospectionServer::Start(
     const Options& options) {
+  if (options.port < 0 || options.port > 65535) {
+    return Status::InvalidArgument(
+        StrFormat("port %d not in [0, 65535]", options.port));
+  }
   std::unique_ptr<IntrospectionServer> server(
       new IntrospectionServer(options));
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -534,8 +538,14 @@ IntrospectionServer* InitIntrospectionFromEnv() {
       }
     }
     if (port_env == nullptr || *port_env == '\0') return nullptr;
+    int64_t port = 0;
+    if (!ParseInt64(port_env, &port) || port < 0 || port > 65535) {
+      OTIF_LOG(kError) << "introspection server disabled: OTIF_METRICS_PORT=\""
+                       << port_env << "\" is not a port in [0, 65535]";
+      return nullptr;
+    }
     IntrospectionServer::Options options;
-    options.port = std::atoi(port_env);
+    options.port = static_cast<int>(port);
     if (const char* stall = std::getenv("OTIF_STALL_SEC")) {
       const double window = std::atof(stall);
       if (window > 0.0) options.stall_seconds = window;

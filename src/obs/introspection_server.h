@@ -64,8 +64,8 @@ bool ParseQueryString(std::string_view query,
 class IntrospectionServer {
  public:
   struct Options {
-    /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (read it
-    /// back via port()).
+    /// TCP port to bind on 127.0.0.1, in [0, 65535]; 0 picks an ephemeral
+    /// port (read it back via port()).
     int port = 0;
     /// /healthz reports stalled when the in-flight run has not committed
     /// for this long.
@@ -74,8 +74,10 @@ class IntrospectionServer {
     int tracez_limit = 200;
   };
 
-  /// Binds, listens, and starts the accept thread. Fails (IoError) when
-  /// the port is taken or sockets are unavailable.
+  /// Binds, listens, and starts the accept thread. Fails with
+  /// InvalidArgument for a port outside [0, 65535] (before any socket is
+  /// opened), and with IoError when the port is taken or sockets are
+  /// unavailable.
   static StatusOr<std::unique_ptr<IntrospectionServer>> Start(
       const Options& options);
 
@@ -156,7 +158,9 @@ class ProgressLogger {
 ///  - OTIF_METRICS_PORT: when set, arms run-progress recording and timeline
 ///    collection, starts a process-lifetime IntrospectionServer on that
 ///    port (0 = ephemeral), and logs the bound address. Unset leaves the
-///    whole subsystem off (cost: nothing beyond the flag word).
+///    whole subsystem off (cost: nothing beyond the flag word). A value
+///    that is not a decimal integer in [0, 65535] is logged as an error and
+///    leaves the server disabled.
 ///  - OTIF_METRICS_PORT_FILE: when set alongside OTIF_METRICS_PORT, the
 ///    bound port is also written (as one decimal line) to this file so
 ///    scripts can find an ephemeral port.

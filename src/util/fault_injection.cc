@@ -1,6 +1,8 @@
 #include "util/fault_injection.h"
 
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -54,6 +56,20 @@ bool ParseKind(std::string_view text, Kind* out) {
   return true;
 }
 
+/// Site names are letters, digits and '.': each site registers the counter
+/// fault.injected.<site>, and its Prometheus name maps every other character
+/// onto the '_' that '.' becomes, so "a_b" or "a b" would collide with
+/// "a.b" and abort the registry.
+bool ValidSiteName(std::string_view name) {
+  if (name.empty()) return false;
+  for (const char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '.';
+    if (!ok) return false;
+  }
+  return true;
+}
+
 bool ParseInt64(std::string_view text, int64_t* out) {
   if (text.empty()) return false;
   errno = 0;
@@ -72,7 +88,9 @@ bool ParseRate(std::string_view text, double* out) {
   const std::string copy(text);
   const double value = std::strtod(copy.c_str(), &end);
   if (errno != 0 || end != copy.c_str() + copy.size()) return false;
-  if (value < 0.0 || value > 1.0) return false;
+  // strtod accepts "nan" and "inf"; NaN fails both range comparisons, and a
+  // NaN rate would then fire on every decision.
+  if (!std::isfinite(value) || value < 0.0 || value > 1.0) return false;
   *out = value;
   return true;
 }
@@ -142,8 +160,10 @@ Status ConfigureFaults(const std::string& spec) {
     }
     Entry entry;
     entry.site = fields[0];
-    if (entry.site.empty()) {
-      return Status::InvalidArgument("fault spec entry has empty site name");
+    if (!ValidSiteName(entry.site)) {
+      return Status::InvalidArgument(StrFormat(
+          "fault spec site \"%s\": want letters, digits and '.'",
+          entry.site.c_str()));
     }
     if (!ParseKind(fields[1], &entry.config.kind)) {
       return Status::InvalidArgument(
@@ -171,7 +191,7 @@ Status ConfigureFaults(const std::string& spec) {
         entry.config.clip = value;
       } else if (StartsWith(option, "ms=") &&
                  ParseInt64(std::string_view(option).substr(3), &value) &&
-                 value >= 0) {
+                 value >= 0 && value <= INT_MAX) {
         entry.config.stall_ms = static_cast<int>(value);
       } else {
         return Status::InvalidArgument(

@@ -108,9 +108,10 @@ Site* GetSite(const std::string& name);
 
 /// Parses and installs a fault spec: comma-separated entries of
 ///   site:kind:rate:seed[:clip=K][:ms=N]
-/// where kind is error|stall|deny, rate is a probability in
-/// [0, 1], seed is a non-negative integer, clip=K limits firing to clip K,
-/// and ms=N sets the stall duration (default 1). Example:
+/// where site is letters, digits and '.', kind is error|stall|deny, rate is
+/// a finite probability in [0, 1], seed is a non-negative integer, clip=K
+/// limits firing to clip K, and ms=N sets the stall duration in
+/// [0, INT_MAX] (default 1). Example:
 ///   OTIF_FAULTS=detect.invoke:error:0.5:7:clip=1,proxy.invoke:stall:1:9:ms=2
 /// Replaces any previous configuration and sets the fault flag when at
 /// least one site is armed. Not synchronized with in-flight runs: call

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/best_config.h"
+#include "core/stages.h"
 #include "query/queries.h"
 #include "sim/dataset.h"
 #include "track/metrics.h"
@@ -41,7 +42,6 @@ TEST(PipelineTest, PlainConfigExtractsTracks) {
   EXPECT_GT(r.clock.Seconds(models::CostCategory::kDetect), 0.0);
   EXPECT_GT(r.clock.Seconds(models::CostCategory::kDecode), 0.0);
   EXPECT_DOUBLE_EQ(r.clock.Seconds(models::CostCategory::kProxy), 0.0);
-  EXPECT_DOUBLE_EQ(r.mean_window_coverage, 1.0);
 }
 
 TEST(PipelineTest, GapReducesFramesAndCost) {
@@ -81,7 +81,7 @@ TEST(PipelineTest, DecodeCostSaturatesBeyondGop) {
   PipelineConfig config;
   auto decode_at_gap = [&](int gap) {
     config.sampling_gap = gap;
-    return Pipeline(config, nullptr).DecodeSecondsForClip(clips[0]);
+    return SimulatedDecodeSeconds(config, clips[0]);
   };
   // Below the GOP size, decode cost is flat (reference chains force
   // decoding every frame); above it, seeking pays off.
@@ -96,10 +96,8 @@ TEST(CostModelTest, DecodeSecondsScalesWithPixels) {
   PipelineConfig full;
   PipelineConfig half = full;
   half.detector_scale = 0.5;
-  const double full_sec =
-      Pipeline(full, nullptr).DecodeSecondsForClip(clips[0]);
-  const double half_sec =
-      Pipeline(half, nullptr).DecodeSecondsForClip(clips[0]);
+  const double full_sec = SimulatedDecodeSeconds(full, clips[0]);
+  const double half_sec = SimulatedDecodeSeconds(half, clips[0]);
   EXPECT_GT(half_sec, 0.0);
   EXPECT_LT(half_sec, full_sec);
 }

@@ -218,10 +218,14 @@ TEST_F(PipelineTelemetryTest, DisabledRunsRecordNoPipelineTelemetry) {
   const telemetry::TelemetrySnapshot snapshot = telemetry::CaptureSnapshot();
   const telemetry::CounterSample* runs =
       telemetry::FindCounter(snapshot, "pipeline.runs");
-  if (runs != nullptr) EXPECT_EQ(runs->value, 0);
+  if (runs != nullptr) {
+    EXPECT_EQ(runs->value, 0);
+  }
   const telemetry::SpanSample* span =
       telemetry::FindSpan(snapshot, "stage/detect");
-  if (span != nullptr) EXPECT_EQ(span->count, 0);
+  if (span != nullptr) {
+    EXPECT_EQ(span->count, 0);
+  }
 }
 
 TEST_F(PipelineTelemetryTest, ParallelRunsAggregateExactCounts) {

@@ -15,8 +15,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,6 +65,37 @@ TEST(IntrospectionServerTest, EphemeralPortIsReported) {
   auto server = StartOrDie();
   EXPECT_GT(server->port(), 0);
   EXPECT_LE(server->port(), 65535);
+}
+
+TEST(IntrospectionServerTest, StartRejectsPortOutsideRange) {
+  for (const int port : {-1, 65536, 70000, INT_MAX, INT_MIN}) {
+    IntrospectionServer::Options options;
+    options.port = port;
+    EXPECT_EQ(IntrospectionServer::Start(options).status().code(),
+              StatusCode::kInvalidArgument)
+        << "port " << port;
+  }
+}
+
+/// Runs InitIntrospectionFromEnv in a fresh child process (its result is
+/// memoized per process) with OTIF_METRICS_PORT=`port` and exits 0 when the
+/// server stayed disabled, 3 when it started.
+void InitWithMetricsPortAndExit(const char* port) {
+  setenv("OTIF_METRICS_PORT", port, /*overwrite=*/1);
+  std::_Exit(InitIntrospectionFromEnv() == nullptr ? 0 : 3);
+}
+
+TEST(IntrospectionEnvDeathTest, MalformedMetricsPortLeavesServerDisabled) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* port : {"abc", "80x", "1.5", "70000", "-1",
+                           "99999999999999999999"}) {
+    EXPECT_EXIT(InitWithMetricsPortAndExit(port), ::testing::ExitedWithCode(0),
+                "OTIF_METRICS_PORT=.* is not a port")
+        << "OTIF_METRICS_PORT=" << port;
+  }
+  // Control: a valid port (0 = ephemeral) starts the server.
+  EXPECT_EXIT(InitWithMetricsPortAndExit("0"), ::testing::ExitedWithCode(3),
+              "listening on 127.0.0.1:");
 }
 
 TEST(IntrospectionServerTest, MetricsEndpointServesExposition) {
@@ -169,6 +203,56 @@ TEST(IntrospectionServerTest, ParseQueryStringTable) {
   ASSERT_EQ(params.size(), 2u);
   EXPECT_EQ(params["n"], "25");
   EXPECT_EQ(params["fmt"], "json");
+}
+
+TEST(IntrospectionServerTest, RandomizedQueryStringsMatchGrammar) {
+  // Strings drawn from the query grammar's alphabet (keys, '=', '&') plus a
+  // few bytes it passes through verbatim, checked against the grammar
+  // written out directly. Fixed seed: any failure replays exactly.
+  const std::string alphabet = "abn=&=&1%+?# \x01";
+  std::mt19937 rng(20261018);
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 5000; ++iter) {
+    const size_t len = std::uniform_int_distribution<size_t>(0, 16)(rng);
+    std::string query;
+    for (size_t i = 0; i < len; ++i) {
+      query += alphabet[std::uniform_int_distribution<size_t>(
+          0, alphabet.size() - 1)(rng)];
+    }
+
+    // The grammar: empty, or '&'-separated segments, each a non-empty key,
+    // '=', and a value; no key twice.
+    std::map<std::string, std::string> expected;
+    bool valid = true;
+    if (!query.empty()) {
+      size_t pos = 0;
+      while (valid) {
+        const size_t amp = query.find('&', pos);
+        const std::string segment = query.substr(
+            pos, amp == std::string::npos ? std::string::npos : amp - pos);
+        const size_t eq = segment.find('=');
+        valid = eq != std::string::npos && eq > 0 &&
+                expected.emplace(segment.substr(0, eq), segment.substr(eq + 1))
+                    .second;
+        if (amp == std::string::npos) break;
+        pos = amp + 1;
+      }
+    }
+
+    std::map<std::string, std::string> params = {{"stale", "entry"}};
+    const bool ok = ParseQueryString(query, &params);
+    ASSERT_EQ(ok, valid) << "query: \"" << query << "\"";
+    if (ok) {
+      ++accepted;
+      EXPECT_EQ(params, expected) << "query: \"" << query << "\"";
+    } else {
+      ++rejected;
+    }
+  }
+  // The generator reaches both outcomes often.
+  EXPECT_GT(accepted, 500);
+  EXPECT_GT(rejected, 500);
 }
 
 TEST(IntrospectionServerTest, TracezLimitParameter) {
