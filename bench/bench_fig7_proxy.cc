@@ -76,7 +76,8 @@ int Main() {
             lf.frame, proxy->resolution().raster_w(),
             proxy->resolution().raster_h()));
         const core::CellGrid grid =
-            core::CellGrid::FromScores(scores, threshold);
+            core::CellGrid::FromScores(scores.data(), scores.dim(1),
+                                       scores.dim(0), threshold);
         std::vector<core::WindowSize> scaled;
         for (const core::WindowSize& s : *sizes) {
           scaled.push_back({static_cast<int>(std::ceil(s.w * det_scale)),

@@ -65,7 +65,8 @@ int main() {
   // Group cells into windows and report the detector-work saving.
   const models::DetectorArch arch =
       models::ArchByName(models::StandardDetectorArchs(), "yolov3");
-  const core::CellGrid grid = core::CellGrid::FromScores(scores, 0.5);
+  const core::CellGrid grid = core::CellGrid::FromScores(
+      scores.data(), scores.dim(1), scores.dim(0), 0.5);
   const core::GroupingResult grouping =
       core::GroupCells(grid, system.trained().window_sizes, arch,
                        workload.spec.width, workload.spec.height);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -44,15 +45,18 @@ std::pair<double, WindowSize> CheapestCover(
 
 }  // namespace
 
-CellGrid CellGrid::FromScores(const nn::Tensor& scores, double threshold) {
-  OTIF_CHECK_EQ(scores.ndim(), 2);
+CellGrid CellGrid::FromScores(const float* scores, int grid_w, int grid_h,
+                              double threshold) {
+  OTIF_CHECK(scores != nullptr);
+  OTIF_CHECK_GT(grid_w, 0);
+  OTIF_CHECK_GT(grid_h, 0);
   CellGrid grid;
-  grid.grid_h = scores.dim(0);
-  grid.grid_w = scores.dim(1);
-  grid.positive.assign(
-      static_cast<size_t>(grid.grid_w) * grid.grid_h, 0);
-  for (int64_t i = 0; i < scores.size(); ++i) {
-    grid.positive[static_cast<size_t>(i)] = scores[i] >= threshold ? 1 : 0;
+  grid.grid_w = grid_w;
+  grid.grid_h = grid_h;
+  const size_t cells = static_cast<size_t>(grid_w) * grid_h;
+  grid.positive.resize(cells);
+  for (size_t i = 0; i < cells; ++i) {
+    grid.positive[i] = scores[i] >= threshold ? 1 : 0;
   }
   return grid;
 }
@@ -63,20 +67,31 @@ int CellGrid::CountPositive() const {
   return count;
 }
 
-GroupingResult GroupCells(const CellGrid& grid,
-                          const std::vector<WindowSize>& sizes,
-                          const models::DetectorArch& arch, double frame_w,
-                          double frame_h) {
-  OTIF_CHECK(!sizes.empty());
-  OTIF_CHECK_GT(grid.grid_w, 0);
-  OTIF_CHECK_GT(grid.grid_h, 0);
-  // Sizes must be ordered so the last entry covers the whole frame.
-  std::vector<WindowSize> ordered = sizes;
-  std::sort(ordered.begin(), ordered.end(),
+OrderedWindowSizes::OrderedWindowSizes(std::vector<WindowSize> sizes)
+    : sizes_(std::move(sizes)) {
+  OTIF_CHECK(!sizes_.empty());
+  std::sort(sizes_.begin(), sizes_.end(),
             [](const WindowSize& a, const WindowSize& b) {
               return static_cast<int64_t>(a.w) * a.h <
                      static_cast<int64_t>(b.w) * b.h;
             });
+}
+
+GroupingResult GroupCells(const CellGrid& grid,
+                          const std::vector<WindowSize>& sizes,
+                          const models::DetectorArch& arch, double frame_w,
+                          double frame_h) {
+  return GroupCells(grid, OrderedWindowSizes(sizes), arch, frame_w, frame_h);
+}
+
+GroupingResult GroupCells(const CellGrid& grid,
+                          const OrderedWindowSizes& sizes,
+                          const models::DetectorArch& arch, double frame_w,
+                          double frame_h) {
+  OTIF_CHECK_GT(grid.grid_w, 0);
+  OTIF_CHECK_GT(grid.grid_h, 0);
+  // The last (largest) size must cover the whole frame.
+  const std::vector<WindowSize>& ordered = sizes.sizes();
   OTIF_CHECK_GE(ordered.back().w + 1e-6, frame_w)
       << "window size set must include the full frame";
   OTIF_CHECK_GE(ordered.back().h + 1e-6, frame_h);
@@ -91,6 +106,7 @@ GroupingResult GroupCells(const CellGrid& grid,
   std::vector<int> label(
       static_cast<size_t>(grid.grid_w) * grid.grid_h, -1);
   std::vector<Cluster> clusters;
+  std::vector<std::pair<int, int>> frontier;  // Reused by every component.
   for (int gy = 0; gy < grid.grid_h; ++gy) {
     for (int gx = 0; gx < grid.grid_w; ++gx) {
       if (!grid.at(gx, gy) ||
@@ -99,7 +115,7 @@ GroupingResult GroupCells(const CellGrid& grid,
       }
       const int id = static_cast<int>(clusters.size());
       Cluster c{gx, gy, gx + 1, gy + 1, 0.0, ordered.front(), true};
-      std::vector<std::pair<int, int>> frontier = {{gx, gy}};
+      frontier.assign(1, {gx, gy});
       label[static_cast<size_t>(gy) * grid.grid_w + gx] = id;
       while (!frontier.empty()) {
         auto [cx, cy] = frontier.back();

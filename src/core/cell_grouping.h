@@ -5,7 +5,6 @@
 
 #include "geom/geometry.h"
 #include "models/detector.h"
-#include "nn/tensor.h"
 
 namespace otif::core {
 
@@ -22,7 +21,10 @@ struct CellGrid {
   int grid_h = 0;
   std::vector<uint8_t> positive;
 
-  static CellGrid FromScores(const nn::Tensor& scores, double threshold);
+  /// Thresholds a row-major (grid_h, grid_w) plane of cell scores: a cell
+  /// is positive when its score is >= `threshold`.
+  static CellGrid FromScores(const float* scores, int grid_w, int grid_h,
+                             double threshold);
 
   bool at(int gx, int gy) const {
     return positive[static_cast<size_t>(gy) * grid_w + gx] != 0;
@@ -50,6 +52,21 @@ struct GroupingResult {
   bool full_frame = false;
 };
 
+/// The size set W in the order GroupCells needs: ascending area, so the
+/// last entry is the largest (full-frame) size. Build it once per size set
+/// and reuse it for every frame. Sizes of equal area keep the order
+/// std::sort gives them, which depends only on the input order, so one set
+/// always orders the same way.
+class OrderedWindowSizes {
+ public:
+  explicit OrderedWindowSizes(std::vector<WindowSize> sizes);
+
+  const std::vector<WindowSize>& sizes() const { return sizes_; }
+
+ private:
+  std::vector<WindowSize> sizes_;
+};
+
 /// Groups positive cells into rectangular windows drawn from the fixed size
 /// set W (paper Sec 3.3 "Grouping Cells during Execution"): connected
 /// components are clusters; clusters merge greedily while the merge lowers
@@ -60,6 +77,13 @@ struct GroupingResult {
 ///
 /// `sizes` must contain the full-frame size (w >= frame_w, h >= frame_h) so
 /// the full-frame fallback is always available.
+GroupingResult GroupCells(const CellGrid& grid,
+                          const OrderedWindowSizes& sizes,
+                          const models::DetectorArch& arch, double frame_w,
+                          double frame_h);
+
+/// Convenience form for a one-off grouping: orders `sizes` first. Callers
+/// that group many frames with one size set order it once instead.
 GroupingResult GroupCells(const CellGrid& grid,
                           const std::vector<WindowSize>& sizes,
                           const models::DetectorArch& arch, double frame_w,

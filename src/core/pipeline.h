@@ -66,7 +66,7 @@ struct TrainedModels {
   std::vector<WindowSize> window_sizes;
   std::unique_ptr<track::TrackRefiner> refiner;
 
-  /// Thread-safe cache of proxy scores keyed by (clip seed, frame,
+  /// Thread-safe cache of proxy scores, one dense table per (clip seed,
   /// resolution index); tuner evaluations re-score the same frames under
   /// many thresholds, possibly from several worker threads.
   ProxyScoreCache proxy_cache;

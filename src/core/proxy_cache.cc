@@ -1,6 +1,6 @@
 #include "core/proxy_cache.h"
 
-#include <utility>
+#include <algorithm>
 
 #include "util/logging.h"
 #include "util/telemetry.h"
@@ -29,76 +29,89 @@ const CacheTelemetry& GetCacheTelemetry() {
 
 }  // namespace
 
+// --- ProxyScoreTable ---------------------------------------------------------
+
+ProxyScoreTable::ProxyScoreTable(int num_frames, int cells)
+    : num_frames_(num_frames), cells_(cells) {
+  OTIF_CHECK_GE(num_frames, 0);
+  OTIF_CHECK_GT(cells, 0);
+  const size_t frames = static_cast<size_t>(num_frames);
+  storage_ = mem::BufferPool::Global().Acquire(frames *
+                                               static_cast<size_t>(cells));
+  ready_.reset(new std::atomic<uint8_t>[frames]());
+}
+
+void ProxyScoreTable::CheckFrame(int frame) const {
+  OTIF_CHECK(frame >= 0 && frame < num_frames_)
+      << "frame " << frame << " outside a " << num_frames_
+      << "-frame score table";
+}
+
+const float* ProxyScoreTable::Insert(int frame, const nn::Tensor& scores) {
+  CheckFrame(frame);
+  OTIF_CHECK_EQ(scores.size(), static_cast<int64_t>(cells_));
+  std::atomic<uint8_t>& ready = ready_[static_cast<size_t>(frame)];
+  float* plane = Plane(frame);
+  std::lock_guard<std::mutex> lock(insert_mu_);
+  // Another writer may have filled the frame meanwhile; first write wins.
+  if (ready.load(std::memory_order_relaxed) == 0) {
+    std::copy(scores.data(), scores.data() + cells_, plane);
+    ready.store(1, std::memory_order_release);
+  }
+  return plane;
+}
+
+// --- ProxyScoreCache ---------------------------------------------------------
+
 ProxyScoreCache::ProxyScoreCache(size_t capacity) : capacity_(capacity) {
   OTIF_CHECK_GE(capacity, 1u);
 }
 
-nn::Tensor ProxyScoreCache::GetOrCompute(
-    const Key& key, const std::function<nn::Tensor()>& compute) const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::Enabled()) GetCacheTelemetry().hits->Add(1);
-      return it->second;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::Enabled()) GetCacheTelemetry().misses->Add(1);
-  nn::Tensor scores = compute();
-
+std::shared_ptr<ProxyScoreTable> ProxyScoreCache::Table(
+    uint64_t clip_seed, int resolution_index, int num_frames,
+    int cells) const {
+  const TableKey key{clip_seed, resolution_index};
   std::lock_guard<std::mutex> lock(mu_);
-  // Another thread may have inserted the key meanwhile; first write wins.
-  if (entries_.emplace(key, scores).second) {
-    insertion_order_.push_back(key);
-    while (entries_.size() > capacity_) {
-      entries_.erase(insertion_order_.front());
-      insertion_order_.pop_front();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::Enabled()) GetCacheTelemetry().evictions->Add(1);
-    }
+  if (const auto it = tables_.find(key); it != tables_.end()) {
+    const ProxyScoreTable& table = *it->second;
+    OTIF_CHECK(table.num_frames() == num_frames && table.cells() == cells)
+        << "score table of clip " << clip_seed << " resolution "
+        << resolution_index << " is " << table.num_frames() << "x"
+        << table.cells() << ", asked for " << num_frames << "x" << cells;
+    return it->second;
   }
-  return scores;
+  auto table = std::make_shared<ProxyScoreTable>(num_frames, cells);
+  tables_.emplace(key, table);
+  table_order_.push_back(key);
+  frames_held_ += static_cast<size_t>(num_frames);
+  // The sweep never evicts the fresh table: it sits at the back of the
+  // order, and the loop stops when it is the only table left.
+  while (frames_held_ > capacity_ && table_order_.size() > 1) {
+    const auto oldest = tables_.find(table_order_.front());
+    const int64_t slots = oldest->second->num_frames();
+    frames_held_ -= static_cast<size_t>(slots);
+    tables_.erase(oldest);
+    table_order_.pop_front();
+    evictions_.fetch_add(slots, std::memory_order_relaxed);
+    if (telemetry::Enabled()) GetCacheTelemetry().evictions->Add(slots);
+  }
+  return table;
 }
 
-bool ProxyScoreCache::Lookup(const Key& key, nn::Tensor* out) const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::Enabled()) GetCacheTelemetry().hits->Add(1);
-      *out = it->second;
-      return true;
-    }
+void ProxyScoreCache::RecordLookups(int64_t hits, int64_t misses) const {
+  if (hits > 0) hits_.fetch_add(hits, std::memory_order_relaxed);
+  if (misses > 0) misses_.fetch_add(misses, std::memory_order_relaxed);
+  if (telemetry::Enabled()) {
+    if (hits > 0) GetCacheTelemetry().hits->Add(hits);
+    if (misses > 0) GetCacheTelemetry().misses->Add(misses);
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::Enabled()) GetCacheTelemetry().misses->Add(1);
-  return false;
-}
-
-nn::Tensor ProxyScoreCache::Insert(const Key& key, nn::Tensor value) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = entries_.emplace(key, std::move(value));
-  if (inserted) {
-    insertion_order_.push_back(key);
-    while (entries_.size() > capacity_) {
-      entries_.erase(insertion_order_.front());
-      insertion_order_.pop_front();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::Enabled()) GetCacheTelemetry().evictions->Add(1);
-    }
-    // The sweep never erases the fresh key: it sits at the back of the
-    // insertion order and capacity_ >= 1, so `it` stays valid.
-  }
-  return it->second;
 }
 
 void ProxyScoreCache::Clear() const {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  insertion_order_.clear();
+  tables_.clear();
+  table_order_.clear();
+  frames_held_ = 0;
 }
 
 void ProxyScoreCache::ResetCounters() const {
@@ -115,7 +128,7 @@ double ProxyScoreCache::hit_rate() const {
 
 size_t ProxyScoreCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  return frames_held_;
 }
 
 }  // namespace otif::core

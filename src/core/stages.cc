@@ -152,18 +152,26 @@ ProxyStage::ProxyStage(const PipelineConfig& config,
   proxy_ = trained_->proxies[static_cast<size_t>(
                                  config_.proxy_resolution_index)]
                .get();
+  const models::ProxyResolution& res = proxy_->resolution();
+  table_ = trained_->proxy_cache.Table(
+      clip_.clip_seed(), config_.proxy_resolution_index, clip_.num_frames(),
+      res.grid_w() * res.grid_h());
   const double scale = config_.detector_scale;
+  std::vector<WindowSize> scaled;
   for (const WindowSize& s : trained_->window_sizes) {
-    scaled_sizes_.push_back(
-        WindowSize{static_cast<int>(std::ceil(s.w * scale)),
-                   static_cast<int>(std::ceil(s.h * scale))});
+    scaled.push_back(WindowSize{static_cast<int>(std::ceil(s.w * scale)),
+                                static_cast<int>(std::ceil(s.h * scale))});
   }
+  scaled_sizes_.emplace(std::move(scaled));
   scaled_w_ = clip_.spec().width * scale;
   scaled_h_ = clip_.spec().height * scale;
 }
 
-void ProxyStage::ComputeWindows(const nn::Tensor& scores, FrameContext* ctx) {
-  const CellGrid grid = CellGrid::FromScores(scores, config_.proxy_threshold);
+void ProxyStage::ComputeWindows(const float* scores, FrameContext* ctx) {
+  const models::ProxyResolution& res = proxy_->resolution();
+  const CellGrid grid = CellGrid::FromScores(scores, res.grid_w(),
+                                             res.grid_h(),
+                                             config_.proxy_threshold);
   if (grid.CountPositive() == 0) {
     // Nothing in the frame: downstream stages skip the detector entirely.
     ctx->skip_detector = true;
@@ -171,7 +179,7 @@ void ProxyStage::ComputeWindows(const nn::Tensor& scores, FrameContext* ctx) {
   }
   OTIF_SPAN("proxy/group_cells");
   const GroupingResult grouping =
-      GroupCells(grid, scaled_sizes_, arch_, scaled_w_, scaled_h_);
+      GroupCells(grid, *scaled_sizes_, arch_, scaled_w_, scaled_h_);
   ctx->window_sizes.reserve(grouping.windows.size());
   for (const PlacedWindow& w : grouping.windows) {
     ctx->window_sizes.push_back(w.size);
@@ -190,40 +198,37 @@ Status ProxyStage::ProcessBatch(const std::vector<FrameContext*>& batch,
                                         &retries_);
     if (!st.ok()) return Status::Unavailable(st.message());
   }
-  const auto key_of = [&](const FrameContext* ctx) {
-    return std::make_tuple(clip_.clip_seed(), ctx->frame,
-                           config_.proxy_resolution_index);
-  };
-  std::vector<nn::Tensor> scores(batch.size());
-  std::vector<size_t> missing;
+  planes_.resize(batch.size());
+  missing_.clear();
   {
     OTIF_SPAN("proxy/score");
     for (size_t i = 0; i < batch.size(); ++i) {
       // Marked before any pixel request: it selects the proxy resolution.
       batch[i]->proxy_ran = true;
-      if (!trained_->proxy_cache.Lookup(key_of(batch[i]), &scores[i])) {
-        missing.push_back(i);
-      }
+      planes_[i] = table_->Find(batch[i]->frame);
+      if (planes_[i] == nullptr) missing_.push_back(i);
     }
   }
-  if (!missing.empty()) {
+  trained_->proxy_cache.RecordLookups(
+      static_cast<int64_t>(batch.size() - missing_.size()),
+      static_cast<int64_t>(missing_.size()));
+  if (!missing_.empty()) {
     // Only the cache misses need pixels: render them, then score them in
     // one batched network invocation.
     std::vector<const video::Image*> frames;
-    frames.reserve(missing.size());
-    for (size_t i : missing) {
+    frames.reserve(missing_.size());
+    for (size_t i : missing_) {
       OTIF_SPAN("proxy/render");
       frames.push_back(&batch[i]->LowResFrame());
     }
     OTIF_SPAN("proxy/score");
-    std::vector<nn::Tensor> fresh = proxy_->ScoreBatch(frames);
+    const std::vector<nn::Tensor> fresh = proxy_->ScoreBatch(frames);
     if (telemetry::Enabled()) {
       ProxyInvocationFrames()->Record(static_cast<double>(frames.size()));
     }
-    for (size_t m = 0; m < missing.size(); ++m) {
-      const size_t i = missing[m];
-      scores[i] =
-          trained_->proxy_cache.Insert(key_of(batch[i]), std::move(fresh[m]));
+    for (size_t m = 0; m < missing_.size(); ++m) {
+      const size_t i = missing_[m];
+      planes_[i] = table_->Insert(batch[i]->frame, fresh[m]);
     }
   }
 
@@ -234,7 +239,7 @@ Status ProxyStage::ProcessBatch(const std::vector<FrameContext*>& batch,
       costs.proxy_sec_per_pixel * proxy_->resolution().world_pixels();
   for (size_t i = 0; i < batch.size(); ++i) {
     result->clock.Charge(models::CostCategory::kProxy, frame_seconds);
-    ComputeWindows(scores[i], batch[i]);
+    ComputeWindows(planes_[i], batch[i]);
   }
   return Status::OK();
 }

@@ -1,11 +1,14 @@
 #ifndef OTIF_CORE_STAGES_H_
 #define OTIF_CORE_STAGES_H_
 
+#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/cell_grouping.h"
 #include "core/pipeline.h"
+#include "core/proxy_cache.h"
 #include "models/detector.h"
 #include "sim/raster.h"
 #include "sim/world.h"
@@ -162,19 +165,21 @@ class DecodeStage : public Stage {
 };
 
 /// Runs the segmentation proxy model: looks up each frame's cell scores in
-/// the shared ProxyScoreCache, renders and scores only the misses, groups
-/// positive cells into detector windows, and publishes the windows. A cache
-/// hit needs no pixels, so a frame whose scores are cached is never rendered
-/// here. No-op when the proxy is disabled.
+/// the clip's table of the shared ProxyScoreCache, renders and scores only
+/// the misses, groups positive cells into detector windows, and publishes
+/// the windows. A cache hit needs no pixels, so a frame whose scores are
+/// cached is never rendered here. No-op when the proxy is disabled.
 class ProxyStage : public Stage {
  public:
+  /// Fetches the clip's score table once, for the whole run.
   ProxyStage(const PipelineConfig& config, const TrainedModels* trained,
              const sim::Clip& clip, const models::DetectorArch& arch);
 
-  /// Looks up every frame, renders the cache misses and scores them in one
-  /// batched network invocation, then groups cells per frame. In a fault
-  /// run, a proxy.invoke fault that persists for kMaxFaultAttempts returns
-  /// kUnavailable: the clip can still run without the proxy.
+  /// Looks up every frame in the table (lock-free), renders the misses and
+  /// scores them in one batched network invocation, then groups cells per
+  /// frame. Hits and misses reach the cache counters once per batch. In a
+  /// fault run, a proxy.invoke fault that persists for kMaxFaultAttempts
+  /// returns kUnavailable: the clip can still run without the proxy.
   Status ProcessBatch(const std::vector<FrameContext*>& batch,
                       PipelineResult* result) override;
 
@@ -182,21 +187,27 @@ class ProxyStage : public Stage {
   int retries() const { return retries_; }
 
  private:
-  /// Post-scoring work: threshold cells and group them into detector
-  /// windows for one frame.
-  void ComputeWindows(const nn::Tensor& scores, FrameContext* ctx);
+  /// Post-scoring work: threshold the frame's cell scores and group them
+  /// into detector windows.
+  void ComputeWindows(const float* scores, FrameContext* ctx);
 
   const PipelineConfig& config_;
   const TrainedModels* trained_;  // Null iff the proxy is disabled.
   const sim::Clip& clip_;
   const models::DetectorArch& arch_;
   const models::ProxyModel* proxy_ = nullptr;
+  /// This clip's scores at the configured resolution.
+  std::shared_ptr<ProxyScoreTable> table_;
   int retries_ = 0;
   /// Window sizes scaled to the detector resolution (W is selected in
-  /// native coordinates; windows shrink with the frame).
-  std::vector<WindowSize> scaled_sizes_;
+  /// native coordinates; windows shrink with the frame), ordered once.
+  std::optional<OrderedWindowSizes> scaled_sizes_;
   double scaled_w_ = 0.0;
   double scaled_h_ = 0.0;
+  /// Per-batch scratch, kept across batches: each frame's scores and the
+  /// batch indices that missed.
+  std::vector<const float*> planes_;
+  std::vector<size_t> missing_;
 };
 
 /// Runs the (simulated) object detector: inside the proxy's windows when

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 
+#include "core/proxy_cache.h"
+#include "sim/raster.h"
 #include "track/metrics.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -83,27 +86,53 @@ void Tuner::CacheProxyModule(const PipelineConfig& theta_best) {
 
   // Sample frames across the validation clips (bounded for cache cost).
   const int stride = std::max(theta_best.sampling_gap, 8);
+  const OrderedWindowSizes window_sizes(trained_->window_sizes);
   for (size_t res = 0; res < trained_->proxies.size(); ++res) {
     models::ProxyModel* proxy = trained_->proxies[res].get();
-    // Pre-score sampled frames once per resolution.
+    const models::ProxyResolution& resolution = proxy->resolution();
+    // Pre-score sampled frames once per resolution: look each clip's
+    // sampled frames up in its score table, then render and score only the
+    // misses in one batched invocation. The handles keep the tables (and so
+    // the score pointers) valid even if the cache evicts them.
     struct FrameScore {
       const sim::Clip* clip;
       int frame;
-      nn::Tensor scores;
+      const float* scores;
     };
+    std::vector<std::shared_ptr<ProxyScoreTable>> tables;
     std::vector<FrameScore> scored;
     for (const sim::Clip& clip : *validation_) {
-      sim::Rasterizer raster(&clip);
+      std::shared_ptr<ProxyScoreTable> table = trained_->proxy_cache.Table(
+          clip.clip_seed(), static_cast<int>(res), clip.num_frames(),
+          resolution.grid_w() * resolution.grid_h());
+      const size_t first = scored.size();
+      std::vector<size_t> missing;
       for (int f = 0; f < clip.num_frames(); f += stride) {
-        nn::Tensor scores = trained_->proxy_cache.GetOrCompute(
-            std::make_tuple(clip.clip_seed(), f, static_cast<int>(res)),
-            [&] {
-              return proxy->Score(
-                  raster.Render(f, proxy->resolution().raster_w(),
-                                proxy->resolution().raster_h()));
-            });
-        scored.push_back({&clip, f, std::move(scores)});
+        const float* scores = table->Find(f);
+        if (scores == nullptr) missing.push_back(scored.size());
+        scored.push_back({&clip, f, scores});
       }
+      trained_->proxy_cache.RecordLookups(
+          static_cast<int64_t>(scored.size() - first - missing.size()),
+          static_cast<int64_t>(missing.size()));
+      if (!missing.empty()) {
+        sim::Rasterizer raster(&clip);
+        std::vector<video::Image> images(missing.size());
+        std::vector<const video::Image*> frames;
+        frames.reserve(missing.size());
+        for (size_t m = 0; m < missing.size(); ++m) {
+          OTIF_SPAN("proxy/render");
+          raster.RenderInto(scored[missing[m]].frame, resolution.raster_w(),
+                            resolution.raster_h(), &images[m]);
+          frames.push_back(&images[m]);
+        }
+        const std::vector<nn::Tensor> fresh = proxy->ScoreBatch(frames);
+        for (size_t m = 0; m < missing.size(); ++m) {
+          FrameScore& fs = scored[missing[m]];
+          fs.scores = table->Insert(fs.frame, fresh[m]);
+        }
+      }
+      tables.push_back(std::move(table));
     }
     // Thresholds only re-read the shared scores; profile them in parallel
     // and append in threshold order (tie-breaking below scans in order).
@@ -122,12 +151,14 @@ void Tuner::CacheProxyModule(const PipelineConfig& theta_best) {
           double recall_sum = 0.0;
           int frames = 0;
           for (const FrameScore& fs : scored) {
-            const CellGrid grid = CellGrid::FromScores(fs.scores, threshold);
+            const CellGrid grid =
+                CellGrid::FromScores(fs.scores, resolution.grid_w(),
+                                     resolution.grid_h(), threshold);
             GroupingResult grouping;
             std::vector<geom::BBox> rects;
             if (grid.CountPositive() > 0) {
-              grouping = GroupCells(grid, trained_->window_sizes, arch,
-                                    spec.width, spec.height);
+              grouping = GroupCells(grid, window_sizes, arch, spec.width,
+                                    spec.height);
               rects = WindowsToNativeRects(grouping, spec.width, spec.height,
                                            grid.grid_w, grid.grid_h, 1.0);
             }

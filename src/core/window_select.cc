@@ -19,9 +19,10 @@ double WindowSizeSelector::TotalEstSeconds(
     const std::vector<CellGrid>& sample_grids,
     const std::vector<WindowSize>& sizes,
     const models::DetectorArch& arch) const {
+  const OrderedWindowSizes ordered(sizes);
   double total = 0.0;
   for (const CellGrid& grid : sample_grids) {
-    total += GroupCells(grid, sizes, arch, frame_w_, frame_h_).est_seconds;
+    total += GroupCells(grid, ordered, arch, frame_w_, frame_h_).est_seconds;
   }
   return total;
 }

@@ -189,6 +189,26 @@ bool ParseFiniteDouble(const std::string& s, double* out) {
   return true;
 }
 
+/// Reads a seconds knob from the environment variable `name`. Returns true
+/// and sets *out when the value is a finite number > 0 (whole string
+/// consumed). An unset or empty variable returns false silently; a
+/// malformed or non-positive value logs an error naming `fallback` (what
+/// happens instead) and returns false, leaving *out untouched.
+bool ParsePositiveSecondsEnv(const char* name, const char* fallback,
+                             double* out) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return false;
+  double value = 0.0;
+  if (!ParseFiniteDouble(env, &value) || !(value > 0.0)) {
+    OTIF_LOG(kError) << name << "=\"" << env
+                     << "\" is not a positive number of seconds; "
+                     << fallback;
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 /// Bounded-cardinality endpoint label for the request counters. Anything
 /// outside the known path set (404s, typos) folds into "other" so a
 /// scanning client cannot mint unbounded metric names.
@@ -528,14 +548,12 @@ IntrospectionServer* InitIntrospectionFromEnv() {
     // so every entry point that arms introspection also honors it.
     InitProfilerFromEnv();
     const char* port_env = std::getenv("OTIF_METRICS_PORT");
-    const char* progress_env = std::getenv("OTIF_PROGRESS_SEC");
-    if (progress_env != nullptr) {
-      const double interval = std::atof(progress_env);
-      if (interval > 0.0) {
-        SetProgressEnabled(true);
-        // Leaked: logs until process exit, like the server below.
-        new ProgressLogger(interval);
-      }
+    double interval = 0.0;
+    if (ParsePositiveSecondsEnv("OTIF_PROGRESS_SEC", "progress logger off",
+                                &interval)) {
+      SetProgressEnabled(true);
+      // Leaked: logs until process exit, like the server below.
+      new ProgressLogger(interval);
     }
     if (port_env == nullptr || *port_env == '\0') return nullptr;
     int64_t port = 0;
@@ -546,10 +564,8 @@ IntrospectionServer* InitIntrospectionFromEnv() {
     }
     IntrospectionServer::Options options;
     options.port = static_cast<int>(port);
-    if (const char* stall = std::getenv("OTIF_STALL_SEC")) {
-      const double window = std::atof(stall);
-      if (window > 0.0) options.stall_seconds = window;
-    }
+    ParsePositiveSecondsEnv("OTIF_STALL_SEC", "default stall window kept",
+                            &options.stall_seconds);
     SetProgressEnabled(true);
     // Arm the timeline rings so /tracez has spans to show. Harmless to
     // outputs (the timeline never affects results) and only reached when

@@ -168,6 +168,9 @@ class ProgressLogger {
 ///  - OTIF_PROGRESS_SEC: when > 0, arms run-progress recording and starts a
 ///    process-lifetime ProgressLogger at that interval — works with or
 ///    without the HTTP server.
+///  Both seconds knobs must be a finite decimal number > 0 (the whole
+///  value; "0.05junk" is rejected). Any other value is logged as an error
+///  and leaves the logger off or the stall window at its default.
 ///  - OTIF_PROFILE=<path>: whole-run CPU profile, dumped to <path> at exit
 ///    (delegated to InitProfilerFromEnv; see profiler.h). Works with or
 ///    without the HTTP server.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/tensor.h"
+
 namespace otif::core {
 namespace {
 
@@ -32,7 +34,7 @@ TEST(CellGridTest, FromScoresThresholds) {
   scores[0] = 0.9f;
   scores[1] = 0.4f;
   scores[5] = 0.6f;
-  CellGrid grid = CellGrid::FromScores(scores, 0.5);
+  CellGrid grid = CellGrid::FromScores(scores.data(), 3, 2, 0.5);
   EXPECT_EQ(grid.grid_w, 3);
   EXPECT_EQ(grid.grid_h, 2);
   EXPECT_TRUE(grid.at(0, 0));

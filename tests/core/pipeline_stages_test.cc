@@ -4,13 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/best_config.h"
 #include "core/pipeline.h"
 #include "core/proxy_cache.h"
+#include "core/tuner.h"
+#include "mem/buffer_pool.h"
 #include "models/detector.h"
 #include "query/queries.h"
 #include "sim/dataset.h"
@@ -279,6 +285,14 @@ TEST_F(PipelineStagesDeterminismTest, ProxyCacheCountsHitsAcrossRuns) {
   EXPECT_GE(trained->proxy_cache.hits() - hits_before, misses_first);
 }
 
+/// Calls of the proxy/render span since the last telemetry::ResetAll().
+int64_t ProxyRenderCount() {
+  const telemetry::TelemetrySnapshot snapshot = telemetry::CaptureSnapshot();
+  const telemetry::SpanSample* span =
+      telemetry::FindSpan(snapshot, "proxy/render");
+  return span == nullptr ? int64_t{0} : span->count;
+}
+
 TEST_F(PipelineStagesDeterminismTest, ProxyRendersOnlyCacheMisses) {
   // Frames render on demand: the proxy renders a frame only when its score
   // lookup misses, and SORT never reads pixels. The proxy/render span counts
@@ -293,72 +307,128 @@ TEST_F(PipelineStagesDeterminismTest, ProxyRendersOnlyCacheMisses) {
   const auto fn = CountAccuracyFn(&clips_);
   const bool telemetry_was_enabled = telemetry::Enabled();
   telemetry::SetEnabled(true);
-  const auto renders = [] {
-    const telemetry::TelemetrySnapshot snapshot = telemetry::CaptureSnapshot();
-    const telemetry::SpanSample* span =
-        telemetry::FindSpan(snapshot, "proxy/render");
-    return span == nullptr ? int64_t{0} : span->count;
-  };
   trained->proxy_cache.Clear();
   telemetry::ResetAll();
   const int64_t misses_before = trained->proxy_cache.misses();
   EvaluateConfig(config, trained.get(), clips_, fn);
   const int64_t misses = trained->proxy_cache.misses() - misses_before;
   EXPECT_GT(misses, 0);
-  EXPECT_EQ(renders(), misses);
+  EXPECT_EQ(ProxyRenderCount(), misses);
 
   telemetry::ResetAll();
   EvaluateConfig(config, trained.get(), clips_, fn);
   EXPECT_EQ(trained->proxy_cache.misses() - misses_before, misses);
-  EXPECT_EQ(renders(), 0);
+  EXPECT_EQ(ProxyRenderCount(), 0);
   telemetry::SetEnabled(telemetry_was_enabled);
 }
 
+TEST_F(PipelineStagesDeterminismTest, TunerRendersOnlyCacheMisses) {
+  // The tuner's caching phase scores sampled validation frames through the
+  // same score tables as the proxy stage: it renders a frame (under the
+  // proxy/render span) only when its lookup misses. No tuning round runs
+  // and the initial configuration has the proxy off, so every proxy lookup
+  // and render here is the caching phase's.
+  const auto trained = MakeTrained(clips_);
+  trained->window_sizes.back() = WindowSize{320, 240};
+  const std::vector<sim::Clip> validation(clips_.begin(), clips_.begin() + 1);
+  Tuner::Options options;
+  options.max_iterations = 0;
+  options.tracker = TrackerKind::kSort;
+  PipelineConfig theta_best;
+  theta_best.sampling_gap = 4;
+  const bool telemetry_was_enabled = telemetry::Enabled();
+  telemetry::SetEnabled(true);
+  trained->proxy_cache.Clear();
+  telemetry::ResetAll();
+  const int64_t misses_before = trained->proxy_cache.misses();
+  Tuner(&validation, trained.get(), CountAccuracyFn(&validation), options)
+      .Run(theta_best);
+  const int64_t misses = trained->proxy_cache.misses() - misses_before;
+  EXPECT_GT(misses, 0);
+  EXPECT_EQ(ProxyRenderCount(), misses);
+
+  // A second walk finds every sampled frame in the tables.
+  telemetry::ResetAll();
+  const int64_t hits_before = trained->proxy_cache.hits();
+  Tuner(&validation, trained.get(), CountAccuracyFn(&validation), options)
+      .Run(theta_best);
+  EXPECT_EQ(trained->proxy_cache.misses() - misses_before, misses);
+  EXPECT_EQ(trained->proxy_cache.hits() - hits_before, misses);
+  EXPECT_EQ(ProxyRenderCount(), 0);
+  telemetry::SetEnabled(telemetry_was_enabled);
+}
+
+nn::Tensor Scores(std::initializer_list<float> values) {
+  nn::Tensor t({static_cast<int>(values.size())});
+  int i = 0;
+  for (const float v : values) t[i++] = v;
+  return t;
+}
+
+/// Looks `frame` up in `table` and records the outcome in `cache`, as the
+/// consumers do (they record once per batch; this is a batch of one).
+const float* CountedFind(const ProxyScoreCache& cache,
+                         const ProxyScoreTable& table, int frame) {
+  const float* scores = table.Find(frame);
+  cache.RecordLookups(scores != nullptr ? 1 : 0, scores == nullptr ? 1 : 0);
+  return scores;
+}
+
+/// Reads frame 0 of the one-frame, one-cell table of `seed`, or on a miss
+/// "scores" it as `value` (counting the compute) and inserts it.
+float FindOrInsert(const ProxyScoreCache& cache, uint64_t seed, float value,
+                   int* computes = nullptr) {
+  const std::shared_ptr<ProxyScoreTable> table = cache.Table(seed, 0, 1, 1);
+  if (const float* scores = CountedFind(cache, *table, 0)) return scores[0];
+  if (computes != nullptr) ++*computes;
+  return table->Insert(0, Scores({value}))[0];
+}
+
 TEST(ProxyScoreCacheTest, EvictsFifoAtCapacity) {
+  // The capacity counts frame slots; one-frame tables make it a table count.
   ProxyScoreCache cache(/*capacity=*/2);
   int computes = 0;
-  auto make = [&](float v) {
-    return [&computes, v] {
-      ++computes;
-      nn::Tensor t({1});
-      t[0] = v;
-      return t;
-    };
-  };
-  EXPECT_EQ(cache.GetOrCompute({1, 0, 0}, make(1.0f))[0], 1.0f);
-  EXPECT_EQ(cache.GetOrCompute({2, 0, 0}, make(2.0f))[0], 2.0f);
-  EXPECT_EQ(cache.GetOrCompute({3, 0, 0}, make(3.0f))[0], 3.0f);
+  EXPECT_EQ(FindOrInsert(cache, 1, 1.0f, &computes), 1.0f);
+  EXPECT_EQ(FindOrInsert(cache, 2, 2.0f, &computes), 2.0f);
+  EXPECT_EQ(FindOrInsert(cache, 3, 3.0f, &computes), 3.0f);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(computes, 3);
-  // Key 1 was evicted (FIFO) and recomputes; key 3 is still resident.
-  EXPECT_EQ(cache.GetOrCompute({1, 0, 0}, make(1.5f))[0], 1.5f);
+  // Table 1 was evicted (FIFO) and recomputes; table 3 is still resident.
+  EXPECT_EQ(FindOrInsert(cache, 1, 1.5f, &computes), 1.5f);
   EXPECT_EQ(computes, 4);
-  EXPECT_EQ(cache.GetOrCompute({3, 0, 0}, make(9.0f))[0], 3.0f);
+  EXPECT_EQ(FindOrInsert(cache, 3, 9.0f, &computes), 3.0f);
   EXPECT_EQ(computes, 4);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 4);
+
+  // Multi-frame tables evict whole, oldest first, and never the new table
+  // even when it alone exceeds the capacity.
+  ProxyScoreCache frames(/*capacity=*/5);
+  frames.Table(1, 0, 3, 1);
+  frames.Table(1, 1, 2, 1);
+  EXPECT_EQ(frames.size(), 5u);
+  EXPECT_EQ(frames.evictions(), 0);
+  frames.Table(2, 0, 2, 1);  // Evicts (1, 0): 3 slots.
+  EXPECT_EQ(frames.size(), 4u);
+  EXPECT_EQ(frames.evictions(), 3);
+  frames.Table(3, 0, 8, 1);  // Evicts both older tables; keeps itself.
+  EXPECT_EQ(frames.size(), 8u);
+  EXPECT_EQ(frames.evictions(), 7);
 }
 
 TEST(ProxyScoreCacheTest, CountsEvictionsAndResetsCounters) {
   ProxyScoreCache cache(/*capacity=*/2);
-  auto make = [](float v) {
-    return [v] {
-      nn::Tensor t({1});
-      t[0] = v;
-      return t;
-    };
-  };
-  cache.GetOrCompute({1, 0, 0}, make(1.0f));
-  cache.GetOrCompute({2, 0, 0}, make(2.0f));
-  cache.GetOrCompute({3, 0, 0}, make(3.0f));  // Evicts key 1.
-  cache.GetOrCompute({4, 0, 0}, make(4.0f));  // Evicts key 2.
-  cache.GetOrCompute({4, 0, 0}, make(9.0f));  // Hit.
+  FindOrInsert(cache, 1, 1.0f);
+  FindOrInsert(cache, 2, 2.0f);
+  FindOrInsert(cache, 3, 3.0f);  // Evicts table 1.
+  FindOrInsert(cache, 4, 4.0f);  // Evicts table 2.
+  FindOrInsert(cache, 4, 9.0f);  // Hit.
   EXPECT_EQ(cache.evictions(), 2);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 4);
   EXPECT_DOUBLE_EQ(cache.hit_rate(), 1.0 / 5.0);
 
-  // Clear drops entries but keeps counters (documented contract) ...
+  // Clear drops tables but keeps counters (documented contract) ...
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.hits(), 1);
@@ -366,37 +436,177 @@ TEST(ProxyScoreCacheTest, CountsEvictionsAndResetsCounters) {
   EXPECT_EQ(cache.evictions(), 2);
 
   // ... while ResetCounters starts a fresh measurement interval without
-  // touching the entries.
-  cache.GetOrCompute({5, 0, 0}, make(5.0f));
+  // touching the tables.
+  FindOrInsert(cache, 5, 5.0f);
   cache.ResetCounters();
   EXPECT_EQ(cache.hits(), 0);
   EXPECT_EQ(cache.misses(), 0);
   EXPECT_EQ(cache.evictions(), 0);
   EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.0);
   EXPECT_EQ(cache.size(), 1u);
-  cache.GetOrCompute({5, 0, 0}, make(9.0f));
+  EXPECT_EQ(FindOrInsert(cache, 5, 9.0f), 5.0f);
   EXPECT_EQ(cache.hits(), 1);
 }
 
-TEST(ProxyScoreCacheTest, ConcurrentGetOrComputeIsConsistent) {
+TEST(ProxyScoreCacheTest, ConcurrentLookupOrInsertIsConsistent) {
+  // 256 tasks over 16 frames of one table: each fetches the table, and on a
+  // miss scores and inserts the frame. Whatever the interleaving, every
+  // task reads the frame's one value and every lookup is counted once.
   ProxyScoreCache cache;
   ThreadPool pool(4);
   std::vector<float> got(256, -1.0f);
   pool.ParallelFor(256, [&](int64_t i) {
-    const int key = static_cast<int>(i % 16);
-    const nn::Tensor t = cache.GetOrCompute(
-        {7, key, 0}, [key] {
-          nn::Tensor v({1});
-          v[0] = static_cast<float>(key);
-          return v;
-        });
-    got[static_cast<size_t>(i)] = t[0];
+    const int frame = static_cast<int>(i % 16);
+    const std::shared_ptr<ProxyScoreTable> table = cache.Table(7, 0, 16, 1);
+    const float* scores = CountedFind(cache, *table, frame);
+    if (scores == nullptr) {
+      scores = table->Insert(frame, Scores({static_cast<float>(frame)}));
+    }
+    got[static_cast<size_t>(i)] = scores[0];
   });
   for (int64_t i = 0; i < 256; ++i) {
     EXPECT_EQ(got[static_cast<size_t>(i)], static_cast<float>(i % 16));
   }
   EXPECT_EQ(cache.size(), 16u);
   EXPECT_EQ(cache.hits() + cache.misses(), 256);
+  EXPECT_GE(cache.misses(), 16);
+}
+
+TEST(ProxyScoreCacheTest, HandleOutlivesEvictionAndClear) {
+  constexpr int kFrames = 4;
+  constexpr int kCells = 3;
+  ProxyScoreCache cache(/*capacity=*/kFrames);
+  const std::shared_ptr<ProxyScoreTable> held =
+      cache.Table(1, 0, kFrames, kCells);
+  std::vector<float> expected;
+  for (int f = 0; f < kFrames; ++f) {
+    const nn::Tensor scores =
+        Scores({0.1f * f, 0.25f + f, 1.0f / (f + 3.0f)});
+    held->Insert(f, scores);
+    expected.insert(expected.end(), scores.data(), scores.data() + kCells);
+  }
+  const auto expect_held_intact = [&] {
+    for (int f = 0; f < kFrames; ++f) {
+      const float* scores = held->Find(f);
+      ASSERT_NE(scores, nullptr) << "frame " << f;
+      for (int c = 0; c < kCells; ++c) {
+        EXPECT_EQ(scores[c], expected[static_cast<size_t>(f * kCells + c)])
+            << "frame " << f << " cell " << c;
+      }
+    }
+  };
+  // Churn the buffer pool after each drop, so storage released too early
+  // would be handed out and overwritten.
+  const auto churn_pool = [] {
+    std::vector<mem::PooledBuffer> buffers;
+    for (int i = 0; i < 8; ++i) {
+      buffers.push_back(mem::BufferPool::Global().Acquire(kFrames * kCells));
+      std::fill(buffers.back().data(),
+                buffers.back().data() + kFrames * kCells, -7.0f);
+    }
+  };
+
+  // A second table takes the cache past its capacity: the held one goes.
+  const std::shared_ptr<ProxyScoreTable> other =
+      cache.Table(2, 0, kFrames, kCells);
+  EXPECT_EQ(cache.evictions(), kFrames);
+  EXPECT_EQ(cache.size(), static_cast<size_t>(kFrames));
+  churn_pool();
+  expect_held_intact();
+  // The cache no longer shares it: the same key gets a fresh, empty table.
+  const std::shared_ptr<ProxyScoreTable> refetched =
+      cache.Table(1, 0, kFrames, kCells);
+  EXPECT_NE(refetched.get(), held.get());
+  EXPECT_EQ(refetched->Find(0), nullptr);
+
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  churn_pool();
+  expect_held_intact();
+}
+
+TEST(ProxyScoreCacheTest, ConcurrentReadersAndWriters) {
+  // Lock-free readers poll every frame while writers race to fill them with
+  // writer-specific grids. First write wins: each frame ends with exactly
+  // one writer's grid, every writer's Insert returns that grid, and a
+  // reader never sees a partial grid or a grid change after it appeared.
+  constexpr int kFrames = 64;
+  constexpr int kCells = 15;
+  constexpr int kWriters = 3;
+  constexpr int kReaders = 3;
+  ProxyScoreCache cache;
+  const std::shared_ptr<ProxyScoreTable> table =
+      cache.Table(9, 0, kFrames, kCells);
+  std::atomic<int> writers_left{kWriters};
+  // Winner recorded by each writer's Insert, per frame.
+  std::vector<std::vector<float>> inserted(
+      kWriters, std::vector<float>(kFrames, -1.0f));
+  std::vector<std::vector<float>> observed(
+      kReaders, std::vector<float>(kFrames, -1.0f));
+  std::vector<int> torn(kReaders, 0);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      nn::Tensor grid({kCells});
+      for (int i = 0; i < kFrames; ++i) {
+        // Writers sweep in different orders so they collide mid-table.
+        const int f = (i * (2 * w + 1) + 17 * w) % kFrames;
+        for (int c = 0; c < kCells; ++c) grid[c] = f * 10.0f + w;
+        inserted[static_cast<size_t>(w)][static_cast<size_t>(f)] =
+            table->Insert(f, grid)[kCells - 1];
+      }
+      writers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      std::vector<float>& seen = observed[static_cast<size_t>(r)];
+      bool last_pass = false;
+      while (!last_pass) {
+        last_pass = writers_left.load(std::memory_order_acquire) == 0;
+        for (int f = 0; f < kFrames; ++f) {
+          const float* scores = table->Find(f);
+          if (scores == nullptr) continue;
+          for (int c = 1; c < kCells; ++c) {
+            if (scores[c] != scores[0]) ++torn[static_cast<size_t>(r)];
+          }
+          float& first = seen[static_cast<size_t>(f)];
+          if (first < 0.0f) {
+            first = scores[0];
+          } else if (first != scores[0]) {
+            ++torn[static_cast<size_t>(r)];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (int f = 0; f < kFrames; ++f) {
+    const float* scores = table->Find(f);
+    ASSERT_NE(scores, nullptr) << "frame " << f;
+    const float winner = scores[0];
+    EXPECT_EQ(std::floor(winner / 10.0f), static_cast<float>(f));
+    for (int c = 0; c < kCells; ++c) EXPECT_EQ(scores[c], winner);
+    for (int w = 0; w < kWriters; ++w) {
+      EXPECT_EQ(inserted[static_cast<size_t>(w)][static_cast<size_t>(f)],
+                winner)
+          << "writer " << w << " frame " << f;
+    }
+    for (int r = 0; r < kReaders; ++r) {
+      EXPECT_EQ(observed[static_cast<size_t>(r)][static_cast<size_t>(f)],
+                winner)
+          << "reader " << r << " frame " << f;
+    }
+  }
+  for (int r = 0; r < kReaders; ++r) EXPECT_EQ(torn[static_cast<size_t>(r)], 0);
+}
+
+TEST(ProxyScoreCacheDeathTest, MismatchedTableShapeAborts) {
+  ProxyScoreCache cache;
+  cache.Table(5, 1, 10, 15);
+  EXPECT_DEATH(cache.Table(5, 1, 11, 15), "score table of clip 5");
+  EXPECT_DEATH(cache.Table(5, 1, 10, 16), "score table of clip 5");
 }
 
 }  // namespace

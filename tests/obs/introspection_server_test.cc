@@ -15,7 +15,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <algorithm>
 #include <climits>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -95,6 +98,54 @@ TEST(IntrospectionEnvDeathTest, MalformedMetricsPortLeavesServerDisabled) {
   }
   // Control: a valid port (0 = ephemeral) starts the server.
   EXPECT_EXIT(InitWithMetricsPortAndExit("0"), ::testing::ExitedWithCode(3),
+              "listening on 127.0.0.1:");
+}
+
+/// Runs InitIntrospectionFromEnv in a fresh child process with only
+/// OTIF_PROGRESS_SEC=`seconds` set and exits 3 when it started the progress
+/// logger (which arms progress recording), 0 when it left it off.
+void InitWithProgressSecAndExit(const char* seconds) {
+  unsetenv("OTIF_METRICS_PORT");
+  setenv("OTIF_PROGRESS_SEC", seconds, /*overwrite=*/1);
+  SetProgressEnabled(false);
+  InitIntrospectionFromEnv();
+  std::_Exit(ProgressEnabled() ? 3 : 0);
+}
+
+/// Runs InitIntrospectionFromEnv in a fresh child process with an ephemeral
+/// server and OTIF_STALL_SEC=`seconds`; exits 0 when /healthz reports the
+/// default 30 s stall window, 4 when it reports 7.5 s, 5 otherwise.
+void InitWithStallSecAndExit(const char* seconds) {
+  unsetenv("OTIF_PROGRESS_SEC");
+  setenv("OTIF_METRICS_PORT", "0", /*overwrite=*/1);
+  setenv("OTIF_STALL_SEC", seconds, /*overwrite=*/1);
+  IntrospectionServer* server = InitIntrospectionFromEnv();
+  if (server == nullptr) std::_Exit(6);
+  const std::string body = server->Handle("/healthz").body;
+  if (body.find("\"stall_window_seconds\": 30") != std::string::npos) {
+    std::_Exit(0);
+  }
+  std::_Exit(body.find("\"stall_window_seconds\": 7.5") != std::string::npos
+                 ? 4
+                 : 5);
+}
+
+TEST(IntrospectionEnvDeathTest, MalformedSecondsKnobsKeepDefaults) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* seconds : {"0.05junk", "abc", "nan", "-1", "1e400", "0"}) {
+    EXPECT_EXIT(InitWithProgressSecAndExit(seconds),
+                ::testing::ExitedWithCode(0),
+                "OTIF_PROGRESS_SEC=.* is not a positive number of seconds")
+        << "OTIF_PROGRESS_SEC=" << seconds;
+    EXPECT_EXIT(InitWithStallSecAndExit(seconds),
+                ::testing::ExitedWithCode(0),
+                "OTIF_STALL_SEC=.* is not a positive number of seconds")
+        << "OTIF_STALL_SEC=" << seconds;
+  }
+  // Controls: well-formed values take effect.
+  EXPECT_EXIT(InitWithProgressSecAndExit("0.05"), ::testing::ExitedWithCode(3),
+              "");
+  EXPECT_EXIT(InitWithStallSecAndExit("7.5"), ::testing::ExitedWithCode(4),
               "listening on 127.0.0.1:");
 }
 
@@ -253,6 +304,171 @@ TEST(IntrospectionServerTest, RandomizedQueryStringsMatchGrammar) {
   // The generator reaches both outcomes often.
   EXPECT_GT(accepted, 500);
   EXPECT_GT(rejected, 500);
+}
+
+/// Splits `s` at every `sep`, keeping empty pieces ("a,,b" -> a, "", b).
+std::vector<std::string> SplitKeepingEmpty(const std::string& s, char sep) {
+  std::vector<std::string> pieces;
+  size_t start = 0;
+  for (;;) {
+    const size_t at = s.find(sep, start);
+    pieces.push_back(s.substr(start, at == std::string::npos ? at : at - start));
+    if (at == std::string::npos) return pieces;
+    start = at + 1;
+  }
+}
+
+/// /tracez's n: strtoll's decimal grammar over the whole value (leading
+/// C-locale whitespace, an optional sign, at least one digit, nothing
+/// after), then the range [1, 10000].
+bool TracezLimitInRange(const std::string& v) {
+  size_t i = 0;
+  while (i < v.size() && std::strchr(" \t\n\v\f\r", v[i]) != nullptr &&
+         v[i] != '\0') {
+    ++i;
+  }
+  bool negative = false;
+  if (i < v.size() && (v[i] == '+' || v[i] == '-')) negative = v[i++] == '-';
+  if (i == v.size()) return false;
+  int64_t n = 0;
+  for (; i < v.size(); ++i) {
+    if (v[i] < '0' || v[i] > '9') return false;
+    n = std::min<int64_t>(n * 10 + (v[i] - '0'), 1000000);
+  }
+  if (negative) n = -n;
+  return n >= 1 && n <= 10000;
+}
+
+/// The status the request grammar gives a request target (path plus
+/// optional '?' query), for every path except /profilez.
+int ExpectedTargetStatus(const std::string& target) {
+  const size_t q = target.find('?');
+  const std::string path = target.substr(0, q);
+  // Query: empty, or '&'-separated key=value segments with non-empty,
+  // distinct keys.
+  std::map<std::string, std::string> params;
+  if (q != std::string::npos && q + 1 < target.size()) {
+    for (const std::string& segment :
+         SplitKeepingEmpty(target.substr(q + 1), '&')) {
+      const size_t eq = segment.find('=');
+      if (eq == std::string::npos || eq == 0 ||
+          !params.emplace(segment.substr(0, eq), segment.substr(eq + 1))
+               .second) {
+        return 400;
+      }
+    }
+  }
+  if (path == "/tracez") {
+    if (const auto it = params.find("n"); it != params.end()) {
+      if (!TracezLimitInRange(it->second)) return 400;
+      params.erase(it);
+    }
+    return params.empty() ? 200 : 400;
+  }
+  if (!params.empty()) return 400;
+  for (const char* known : {"/metrics", "/statusz", "/healthz", "/", ""}) {
+    if (path == known) return 200;
+  }
+  return 404;
+}
+
+/// The status the request grammar gives a whole request head: a request
+/// line (up to the first CRLF, or the whole head when it has none and is
+/// under the head cap) of single-space-separated tokens, at least two; an
+/// uppercase-letter method, of which only GET and HEAD are served; the
+/// second token is the target. Tokens after the target (the version among
+/// them) and the header lines are not read.
+int ExpectedStatus(const std::string& head) {
+  const size_t crlf = head.find("\r\n");
+  if (crlf == std::string::npos &&
+      head.size() >= IntrospectionServer::kMaxHeadBytes) {
+    return 400;
+  }
+  const std::vector<std::string> tokens =
+      SplitKeepingEmpty(head.substr(0, crlf), ' ');
+  if (tokens.size() < 2 || tokens[0].empty()) return 400;
+  for (const char c : tokens[0]) {
+    if (c < 'A' || c > 'Z') return 400;
+  }
+  if (tokens[0] != "GET" && tokens[0] != "HEAD") return 405;
+  return ExpectedTargetStatus(tokens[1]);
+}
+
+TEST(IntrospectionServerTest, RandomizedRequestLinesMatchGrammar) {
+  // Request heads assembled from valid and near-miss methods, targets,
+  // versions, separators and terminators, about half of them then hit by
+  // byte mutations, checked against the grammar written out above. Fixed
+  // seed: any failure replays exactly. /profilez is left out of the
+  // targets (a bare one blocks for a two-second profile).
+  IntrospectionServer::Options options;
+  options.stall_seconds = 1e9;  // /healthz never reports a stall here.
+  auto server = StartOrDie(options);
+  // Served methods are listed several times so most heads reach routing.
+  const std::vector<std::string> methods = {
+      "GET",  "GET",    "GET",     "GET", "HEAD", "HEAD", "POST",
+      "DELETE", "OPTIONS", "get", "Get", "GETT", "GE",   "G3T",
+      "",     "GET/",   "HEAD\t"};
+  const std::vector<std::string> targets = {
+      "/", "", "/metrics", "/statusz", "/healthz", "/tracez",
+      "/tracez?n=5", "/tracez?n=0", "/tracez?n=10001", "/tracez?n=+7",
+      "/tracez?n=5x", "/tracez?n=5&n=6", "/tracez?m=1", "/tracez?n=",
+      "/metrics?", "/metrics?a=1", "/healthz?&", "/statusz?x", "/?a=b",
+      "/nope", "/metricsz", "//metrics", "metrics", "/healthz/", "/Metrics",
+      "/tracez/", "/statusz.json"};
+  const std::vector<std::string> versions = {
+      "HTTP/1.1", "HTTP/1.0", "HTTP/2", "http/1.1", "HTTP/1.1 extra", ""};
+  const std::vector<std::string> separators = {" ", " ", "  ", "\t", ""};
+  const std::vector<std::string> terminators = {
+      "\r\n\r\n", "\r\n", "\n", "", "\r\nHost: x\r\n\r\n", "\r"};
+  const std::string mutation_bytes(" \r\n?&=/AGa1\t\x7f\xff\0", 15);
+  std::mt19937 rng(20261019);
+  const auto pick = [&rng](const std::vector<std::string>& from) {
+    return from[std::uniform_int_distribution<size_t>(0, from.size() - 1)(
+        rng)];
+  };
+  std::map<int, int> statuses;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string head;
+    if (iter % 500 == 499) {
+      // A head that never ends its request line within the cap.
+      head = "GET /" + std::string(IntrospectionServer::kMaxHeadBytes, 'a');
+    } else {
+      head = pick(methods) + pick(separators) + pick(targets) +
+             pick(separators) + pick(versions) + pick(terminators);
+    }
+    if (std::uniform_int_distribution<int>(0, 1)(rng) == 1) {
+      const int mutations = std::uniform_int_distribution<int>(1, 3)(rng);
+      for (int m = 0; m < mutations; ++m) {
+        const char byte = mutation_bytes[std::uniform_int_distribution<size_t>(
+            0, mutation_bytes.size() - 1)(rng)];
+        const size_t at =
+            std::uniform_int_distribution<size_t>(0, head.size())(rng);
+        switch (std::uniform_int_distribution<int>(0, 2)(rng)) {
+          case 0:  // Insert.
+            head.insert(head.begin() + static_cast<std::ptrdiff_t>(at), byte);
+            break;
+          case 1:  // Replace.
+            if (at < head.size()) head[at] = byte;
+            break;
+          default:  // Delete.
+            if (at < head.size()) {
+              head.erase(head.begin() + static_cast<std::ptrdiff_t>(at));
+            }
+        }
+      }
+    }
+    const std::vector<std::string> tokens =
+        SplitKeepingEmpty(head.substr(0, head.find("\r\n")), ' ');
+    if (tokens.size() >= 2 && tokens[1].rfind("/profilez", 0) == 0) continue;
+    const int expected = ExpectedStatus(head);
+    ASSERT_EQ(server->HandleRequest(head).status, expected)
+        << "head: \"" << head << "\"";
+    ++statuses[expected];
+  }
+  // The generator reaches every status the grammar can give, often.
+  for (const int status : {200, 400, 404, 405}) {
+    EXPECT_GT(statuses[status], 100) << "status " << status;
+  }
 }
 
 TEST(IntrospectionServerTest, TracezLimitParameter) {
