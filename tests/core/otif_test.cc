@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <string>
 
 #include "eval/workload.h"
 #include "query/queries.h"
@@ -201,6 +203,142 @@ TEST(OtifTest, PrepareIsIdenticalAcrossPoolWidths) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
         << "proxy " << r << " parameters differ";
   }
+}
+
+// FNV-1a64 accumulator over raw bytes.
+class Fnv1a64 {
+ public:
+  void Bytes(const void* p, size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h_ ^= bytes[i];
+      h_ *= 1099511628211ull;
+    }
+  }
+  template <typename T>
+  void Pod(const T& v) {
+    Bytes(&v, sizeof(v));
+  }
+  void String(const std::string& s) {
+    Pod(s.size());
+    Bytes(s.data(), s.size());
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+// Digests of a quickstart-scale Otif::Prepare and Execute.
+struct PrepareDigests {
+  uint64_t curve = 0;        // Every TunerPoint.
+  uint64_t theta_and_w = 0;  // theta_best and the window sizes W.
+  uint64_t profiles = 0;     // A second Tuner::Run's caching phase.
+  uint64_t execute = 0;      // Tracks and per-category sim seconds.
+};
+
+PrepareDigests DigestPrepareAtPoolWidth(int threads) {
+  ThreadPool::SetDefaultThreads(threads);
+  // examples/quickstart's scale and tuner options.
+  RunScale scale;
+  scale.train_clips = 3;
+  scale.valid_clips = 2;
+  scale.test_clips = 2;
+  scale.clip_seconds = 15;
+  const eval::TrackWorkload workload =
+      eval::MakeTrackWorkload(sim::DatasetId::kSynthetic);
+  Otif otif(workload.spec, scale);
+  const std::vector<sim::Clip> valid = otif.ValidClips();
+  const AccuracyFn valid_fn = workload.MakeAccuracyFn(&valid);
+  otif.Prepare(valid_fn, Tuner::Options{});
+
+  PrepareDigests out;
+  Fnv1a64 curve;
+  for (const TunerPoint& p : otif.curve()) {
+    curve.String(p.config.ToString());
+    curve.Pod(p.val_seconds);
+    curve.Pod(p.val_accuracy);
+    curve.String(p.chosen_module);
+  }
+  out.curve = curve.value();
+
+  Fnv1a64 theta;
+  theta.String(otif.theta_best().ToString());
+  for (const WindowSize& w : otif.trained().window_sizes) {
+    theta.Pod(w.w);
+    theta.Pod(w.h);
+  }
+  out.theta_and_w = theta.value();
+
+  Tuner tuner(&valid, &otif.trained(), valid_fn, Tuner::Options{});
+  tuner.Run(otif.theta_best());
+  Fnv1a64 profiles;
+  for (const Tuner::ProxyProfile& p : tuner.proxy_profiles()) {
+    profiles.Pod(p.resolution_index);
+    profiles.Pod(p.threshold);
+    profiles.Pod(p.relative_detector_cost);
+    profiles.Pod(p.proxy_sec_per_frame);
+    profiles.Pod(p.recall);
+  }
+  for (const Tuner::DetectionProfile& p : tuner.detection_profiles()) {
+    profiles.String(p.arch);
+    profiles.Pod(p.scale);
+    profiles.Pod(p.per_frame_sec);
+    profiles.Pod(p.accuracy);
+  }
+  out.profiles = profiles.value();
+
+  const std::vector<sim::Clip> test = otif.TestClips();
+  const EvalResult r =
+      otif.Execute(otif.FastestWithinTolerance(0.05).config, test,
+                   workload.MakeAccuracyFn(&test));
+  Fnv1a64 exec;
+  for (const std::vector<track::Track>& tracks : r.tracks_per_clip) {
+    exec.Pod(tracks.size());
+    for (const track::Track& t : tracks) {
+      exec.Pod(t.id);
+      exec.Pod(t.cls);
+      exec.Pod(t.detections.size());
+      for (const track::Detection& d : t.detections) {
+        exec.Pod(d.frame);
+        exec.Pod(d.box.cx);
+        exec.Pod(d.box.cy);
+        exec.Pod(d.box.w);
+        exec.Pod(d.box.h);
+        exec.Pod(d.confidence);
+      }
+    }
+  }
+  for (const models::CostCategory cat :
+       {models::CostCategory::kDecode, models::CostCategory::kProxy,
+        models::CostCategory::kDetect, models::CostCategory::kTrack,
+        models::CostCategory::kRefine}) {
+    exec.Pod(r.clock.Seconds(cat));
+  }
+  out.execute = exec.value();
+  return out;
+}
+
+TEST(OtifTest, PrepareMatchesGoldenDigest) {
+  // A fixed reference across commits for the whole user job at quickstart
+  // scale: the tuner curve, theta_best and W, the tuner's cached module
+  // profiles, and the tracks Execute extracts at the chosen point. Change a
+  // constant only in a change meant to alter these outputs, and say why in
+  // CHANGES.md.
+  const int saved = ThreadPool::Default()->num_threads();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const PrepareDigests d = DigestPrepareAtPoolWidth(threads);
+    EXPECT_EQ(d.curve, 0xd1017ff32176d646ull)
+        << std::hex << d.curve;
+    EXPECT_EQ(d.theta_and_w, 0x2182db53b1759a8full)
+        << std::hex << d.theta_and_w;
+    EXPECT_EQ(d.profiles, 0x889c4f3ec1f04212ull)
+        << std::hex << d.profiles;
+    EXPECT_EQ(d.execute, 0xda8a88220a19c7c5ull)
+        << std::hex << d.execute;
+  }
+  ThreadPool::SetDefaultThreads(saved);
 }
 
 }  // namespace
