@@ -7,7 +7,9 @@
 //          the five trained input resolutions.
 
 #include <cstdio>
+#include <deque>
 #include <memory>
+#include <optional>
 
 #include "bench/bench_common.h"
 #include "core/otif.h"
@@ -42,17 +44,20 @@ int Main() {
   models::SimulatedDetector detector(arch);
 
   // ~50 labeled frames sampled across the test clips (paper: 50
-  // hand-labeled frames).
+  // hand-labeled frames), each rendered by its clip's one rasterizer.
   struct LabeledFrame {
     const sim::Clip* clip;
+    sim::Rasterizer* raster;
     int frame;
   };
+  std::deque<sim::Rasterizer> rasters;
   std::vector<LabeledFrame> frames;
   for (const sim::Clip& clip : test) {
+    sim::Rasterizer* raster = &rasters.emplace_back(&clip);
     for (int f = 0; f < clip.num_frames();
          f += std::max(1, clip.num_frames() * static_cast<int>(test.size()) /
                               50)) {
-      frames.push_back({&clip, f});
+      frames.push_back({&clip, raster, f});
     }
   }
 
@@ -63,6 +68,13 @@ int Main() {
                      const std::vector<core::WindowSize>* sizes,
                      models::ProxyModel* proxy, double threshold,
                      double* per_frame_sec) {
+    std::optional<core::WindowPlanner> planner;
+    if (sizes != nullptr && proxy != nullptr) {
+      planner.emplace(*sizes, arch, workload.spec.width, workload.spec.height,
+                      det_scale, proxy->resolution().grid_w(),
+                      proxy->resolution().grid_h());
+    }
+    core::WindowPlan plan;
     std::vector<track::Detection> all_dets, all_gt;
     double time_sum = 0.0;
     for (const LabeledFrame& lf : frames) {
@@ -70,30 +82,15 @@ int Main() {
       for (const auto& g : gt) all_gt.push_back(g);
       track::FrameDetections dets = detector.Detect(*lf.clip, lf.frame,
                                                     det_scale);
-      if (sizes != nullptr && proxy != nullptr) {
-        sim::Rasterizer raster(lf.clip);
-        const nn::Tensor scores = proxy->Score(raster.Render(
+      if (planner.has_value()) {
+        const nn::Tensor scores = proxy->Score(lf.raster->Render(
             lf.frame, proxy->resolution().raster_w(),
             proxy->resolution().raster_h()));
-        const core::CellGrid grid =
-            core::CellGrid::FromScores(scores.data(), scores.dim(1),
-                                       scores.dim(0), threshold);
-        std::vector<core::WindowSize> scaled;
-        for (const core::WindowSize& s : *sizes) {
-          scaled.push_back({static_cast<int>(std::ceil(s.w * det_scale)),
-                            static_cast<int>(std::ceil(s.h * det_scale))});
-        }
-        const double sw = workload.spec.width * det_scale;
-        const double sh = workload.spec.height * det_scale;
-        if (grid.CountPositive() == 0) {
+        if (!planner->Plan(scores.data(), threshold, &plan)) {
           dets.clear();
         } else {
-          const core::GroupingResult grouping =
-              core::GroupCells(grid, scaled, arch, sw, sh);
-          time_sum += grouping.est_seconds;
-          dets = models::FilterByWindows(
-              dets, core::WindowsToNativeRects(grouping, sw, sh, grid.grid_w,
-                                               grid.grid_h, det_scale));
+          time_sum += plan.est_seconds;
+          dets = models::FilterByWindows(dets, plan.rects);
         }
         time_sum += 3.0e-4;  // Proxy inference.
       } else {
@@ -122,14 +119,9 @@ int Main() {
       const nn::Tensor labels = proxy->MakeLabels(
           lf.clip->GroundTruthDetections(lf.frame), workload.spec.width,
           workload.spec.height);
-      core::CellGrid g;
-      g.grid_w = proxy->resolution().grid_w();
-      g.grid_h = proxy->resolution().grid_h();
-      g.positive.assign(static_cast<size_t>(g.grid_w) * g.grid_h, 0);
-      for (int64_t i = 0; i < labels.size(); ++i) {
-        g.positive[static_cast<size_t>(i)] = labels[i] > 0.5f ? 1 : 0;
-      }
-      grids.push_back(std::move(g));
+      grids.push_back(core::CellGrid::FromScores(
+          labels.data(), proxy->resolution().grid_w(),
+          proxy->resolution().grid_h(), 0.5));
     }
     core::WindowSizeSelector::Options wopts;
     wopts.k = k;
@@ -151,8 +143,7 @@ int Main() {
     std::vector<double> scores;
     std::vector<int> labels;
     for (const LabeledFrame& lf : frames) {
-      sim::Rasterizer raster(lf.clip);
-      const nn::Tensor s = p->Score(raster.Render(
+      const nn::Tensor s = p->Score(lf.raster->Render(
           lf.frame, p->resolution().raster_w(), p->resolution().raster_h()));
       const nn::Tensor l = p->MakeLabels(
           lf.clip->GroundTruthDetections(lf.frame), workload.spec.width,

@@ -212,8 +212,7 @@ void BM_CellGrouping(benchmark::State& state) {
     grid.positive[rng.UniformInt(uint64_t{13 * 8})] = 1;
   }
   const models::DetectorArch arch = models::StandardDetectorArchs()[0];
-  const std::vector<core::WindowSize> sizes = {
-      {160, 90}, {320, 180}, {1280, 720}};
+  const core::OrderedWindowSizes sizes({{160, 90}, {320, 180}, {1280, 720}});
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::GroupCells(grid, sizes, arch, 1280, 720));
   }

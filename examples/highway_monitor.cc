@@ -65,19 +65,18 @@ int main() {
   // Group cells into windows and report the detector-work saving.
   const models::DetectorArch arch =
       models::ArchByName(models::StandardDetectorArchs(), "yolov3");
-  const core::CellGrid grid = core::CellGrid::FromScores(
-      scores.data(), scores.dim(1), scores.dim(0), 0.5);
-  const core::GroupingResult grouping =
-      core::GroupCells(grid, system.trained().window_sizes, arch,
-                       workload.spec.width, workload.spec.height);
+  core::WindowPlanner planner(system.trained().window_sizes, arch,
+                              workload.spec.width, workload.spec.height, 1.0,
+                              proxy->resolution().grid_w(),
+                              proxy->resolution().grid_h());
+  core::WindowPlan plan;
+  planner.Plan(scores.data(), 0.5, &plan);
   const double full_cost = models::DetectorWindowSeconds(
       arch, workload.spec.width, workload.spec.height);
   std::printf("\n%zu window(s); est detector time %.2f ms vs %.2f ms full "
               "frame (%.1fx less work)\n",
-              grouping.windows.size(), grouping.est_seconds * 1e3,
-              full_cost * 1e3,
-              grouping.est_seconds > 0 ? full_cost / grouping.est_seconds
-                                       : 1.0);
+              plan.sizes.size(), plan.est_seconds * 1e3, full_cost * 1e3,
+              plan.est_seconds > 0 ? full_cost / plan.est_seconds : 1.0);
 
   // Full pipeline comparison: proxy off vs on.
   const core::AccuracyFn test_metric = workload.MakeAccuracyFn(&test);

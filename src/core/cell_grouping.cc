@@ -1,10 +1,12 @@
 #include "core/cell_grouping.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 
 #include "util/logging.h"
+#include "util/trace.h"
 
 namespace otif::core {
 namespace {
@@ -43,6 +45,16 @@ std::pair<double, WindowSize> CheapestCover(
   return {best_cost, best};
 }
 
+// W scaled to the detector resolution: windows shrink with the frame.
+std::vector<WindowSize> ScaleSizes(std::vector<WindowSize> sizes,
+                                   double scale) {
+  for (WindowSize& s : sizes) {
+    s = WindowSize{static_cast<int>(std::ceil(s.w * scale)),
+                   static_cast<int>(std::ceil(s.h * scale))};
+  }
+  return sizes;
+}
+
 }  // namespace
 
 CellGrid CellGrid::FromScores(const float* scores, int grid_w, int grid_h,
@@ -53,18 +65,18 @@ CellGrid CellGrid::FromScores(const float* scores, int grid_w, int grid_h,
   CellGrid grid;
   grid.grid_w = grid_w;
   grid.grid_h = grid_h;
-  const size_t cells = static_cast<size_t>(grid_w) * grid_h;
-  grid.positive.resize(cells);
-  for (size_t i = 0; i < cells; ++i) {
-    grid.positive[i] = scores[i] >= threshold ? 1 : 0;
-  }
+  grid.positive.resize(static_cast<size_t>(grid_w) * grid_h);
+  grid.Threshold(scores, threshold);
   return grid;
 }
 
-int CellGrid::CountPositive() const {
-  int count = 0;
-  for (uint8_t v : positive) count += v;
-  return count;
+bool CellGrid::Threshold(const float* scores, double threshold) {
+  uint8_t any = 0;
+  for (size_t i = 0; i < positive.size(); ++i) {
+    positive[i] = scores[i] >= threshold ? 1 : 0;
+    any |= positive[i];
+  }
+  return any != 0;
 }
 
 OrderedWindowSizes::OrderedWindowSizes(std::vector<WindowSize> sizes)
@@ -75,13 +87,6 @@ OrderedWindowSizes::OrderedWindowSizes(std::vector<WindowSize> sizes)
               return static_cast<int64_t>(a.w) * a.h <
                      static_cast<int64_t>(b.w) * b.h;
             });
-}
-
-GroupingResult GroupCells(const CellGrid& grid,
-                          const std::vector<WindowSize>& sizes,
-                          const models::DetectorArch& arch, double frame_w,
-                          double frame_h) {
-  return GroupCells(grid, OrderedWindowSizes(sizes), arch, frame_w, frame_h);
 }
 
 GroupingResult GroupCells(const CellGrid& grid,
@@ -147,10 +152,7 @@ GroupingResult GroupCells(const CellGrid& grid,
     }
   }
 
-  if (clusters.empty()) {
-    result.est_seconds = 0.0;
-    return result;
-  }
+  if (clusters.empty()) return result;
 
   // 2. Greedy agglomerative merging while est(R) decreases.
   bool improved = true;
@@ -200,53 +202,61 @@ GroupingResult GroupCells(const CellGrid& grid,
     if (c.alive) est += c.cost;
   }
   if (est >= full_cost) {
-    PlacedWindow w;
-    w.cell_x0 = 0;
-    w.cell_y0 = 0;
-    w.cell_x1 = grid.grid_w;
-    w.cell_y1 = grid.grid_h;
-    w.size = ordered.back();
-    result.windows.push_back(w);
+    result.windows.push_back(
+        PlacedWindow{0, 0, grid.grid_w, grid.grid_h, ordered.back()});
     result.est_seconds = full_cost;
-    result.full_frame = true;
     return result;
   }
   for (const Cluster& c : clusters) {
-    if (!c.alive) continue;
-    PlacedWindow w;
-    w.cell_x0 = c.x0;
-    w.cell_y0 = c.y0;
-    w.cell_x1 = c.x1;
-    w.cell_y1 = c.y1;
-    w.size = c.size;
-    result.windows.push_back(w);
+    if (c.alive) {
+      result.windows.push_back(PlacedWindow{c.x0, c.y0, c.x1, c.y1, c.size});
+    }
   }
   result.est_seconds = est;
   return result;
 }
 
-std::vector<geom::BBox> WindowsToNativeRects(
-    const GroupingResult& grouping, double frame_w, double frame_h,
-    int grid_w, int grid_h, double scale) {
+WindowPlanner::WindowPlanner(const std::vector<WindowSize>& native_sizes,
+                             const models::DetectorArch& arch, int frame_w,
+                             int frame_h, double scale, int grid_w,
+                             int grid_h)
+    : arch_(arch),
+      sizes_(ScaleSizes(native_sizes, scale)),
+      frame_w_(frame_w * scale),
+      frame_h_(frame_h * scale),
+      scale_(scale) {
   OTIF_CHECK_GT(scale, 0.0);
-  std::vector<geom::BBox> rects;
-  const double cell_w = frame_w / grid_w;
-  const double cell_h = frame_h / grid_h;
+  OTIF_CHECK(grid_w > 0 && grid_h > 0);
+  grid_.grid_w = grid_w;
+  grid_.grid_h = grid_h;
+  grid_.positive.resize(static_cast<size_t>(grid_w) * grid_h);
+}
+
+bool WindowPlanner::Plan(const float* scores, double threshold,
+                         WindowPlan* plan) {
+  plan->sizes.clear();
+  plan->rects.clear();
+  plan->est_seconds = 0.0;
+  if (!grid_.Threshold(scores, threshold)) return false;
+
+  OTIF_SPAN("proxy/group_cells");
+  const GroupingResult grouping =
+      GroupCells(grid_, sizes_, arch_, frame_w_, frame_h_);
+  plan->est_seconds = grouping.est_seconds;
+  const double cell_w = frame_w_ / grid_.grid_w;
+  const double cell_h = frame_h_ / grid_.grid_h;
   for (const PlacedWindow& w : grouping.windows) {
-    // Anchor the window at the covered cells' top-left, clamped so it stays
-    // inside the frame.
-    double x0 = w.cell_x0 * cell_w;
-    double y0 = w.cell_y0 * cell_h;
-    const double ww = std::min<double>(w.size.w, frame_w);
-    const double wh = std::min<double>(w.size.h, frame_h);
-    x0 = std::clamp(x0, 0.0, frame_w - ww);
-    y0 = std::clamp(y0, 0.0, frame_h - wh);
-    // Scaled-frame rect -> native coordinates.
-    rects.push_back(geom::BBox::FromCorners(x0 / scale, y0 / scale,
-                                            (x0 + ww) / scale,
-                                            (y0 + wh) / scale));
+    plan->sizes.push_back(w.size);
+    // Anchor the window at the covered cells' top-left, clamped inside the
+    // frame, then map the scaled-frame rect to native coordinates.
+    const double ww = std::min<double>(w.size.w, frame_w_);
+    const double wh = std::min<double>(w.size.h, frame_h_);
+    const double x0 = std::clamp(w.cell_x0 * cell_w, 0.0, frame_w_ - ww);
+    const double y0 = std::clamp(w.cell_y0 * cell_h, 0.0, frame_h_ - wh);
+    plan->rects.push_back(geom::BBox::FromCorners(
+        x0 / scale_, y0 / scale_, (x0 + ww) / scale_, (y0 + wh) / scale_));
   }
-  return rects;
+  return true;
 }
 
 }  // namespace otif::core

@@ -26,13 +26,17 @@ struct CellGrid {
   static CellGrid FromScores(const float* scores, int grid_w, int grid_h,
                              double threshold);
 
+  /// Re-thresholds this grid in place from a plane of its shape, by the
+  /// same rule as FromScores, reusing `positive`. Returns whether any cell
+  /// is positive.
+  bool Threshold(const float* scores, double threshold);
+
   bool at(int gx, int gy) const {
     return positive[static_cast<size_t>(gy) * grid_w + gx] != 0;
   }
   void set(int gx, int gy, bool v) {
     positive[static_cast<size_t>(gy) * grid_w + gx] = v ? 1 : 0;
   }
-  int CountPositive() const;
 };
 
 /// A chosen rectangle: placement in cell coordinates plus the window size
@@ -48,8 +52,6 @@ struct GroupingResult {
   std::vector<PlacedWindow> windows;
   /// Estimated detector execution time est(R) over the windows, seconds.
   double est_seconds = 0.0;
-  /// True when the grouper fell back to a single full-frame window.
-  bool full_frame = false;
 };
 
 /// The size set W in the order GroupCells needs: ascending area, so the
@@ -82,19 +84,43 @@ GroupingResult GroupCells(const CellGrid& grid,
                           const models::DetectorArch& arch, double frame_w,
                           double frame_h);
 
-/// Convenience form for a one-off grouping: orders `sizes` first. Callers
-/// that group many frames with one size set order it once instead.
-GroupingResult GroupCells(const CellGrid& grid,
-                          const std::vector<WindowSize>& sizes,
-                          const models::DetectorArch& arch, double frame_w,
-                          double frame_h);
+/// One frame's detector windows, as WindowPlanner::Plan places them.
+struct WindowPlan {
+  /// Detector-resolution window sizes, drawn from the scaled set W.
+  std::vector<WindowSize> sizes;
+  /// The same windows as native-coordinate rectangles, in the same order.
+  std::vector<geom::BBox> rects;
+  /// Estimated detector execution time est(R) over the windows, seconds.
+  double est_seconds = 0.0;
+};
 
-/// Converts placed windows into native-coordinate rectangles for detection
-/// filtering. `scale` maps scaled-frame coordinates back to native
-/// (native = scaled / scale).
-std::vector<geom::BBox> WindowsToNativeRects(
-    const GroupingResult& grouping, double frame_w, double frame_h,
-    int grid_w, int grid_h, double scale);
+/// The proxy module's window rule (paper Sec 3.3), shared by ProxyStage,
+/// the tuner and the benches: threshold a frame's cell scores and cover the
+/// positive cells with windows from W at the detector's resolution. W is
+/// scaled (ceil(s * scale)) and ordered once per planner, and the cell grid
+/// is reused across frames, so a planner serves one thread.
+class WindowPlanner {
+ public:
+  /// `native_sizes` is W in native pixels, including the full-frame size;
+  /// `frame_w` x `frame_h` is the native frame size. The arch is copied.
+  WindowPlanner(const std::vector<WindowSize>& native_sizes,
+                const models::DetectorArch& arch, int frame_w, int frame_h,
+                double scale, int grid_w, int grid_h);
+
+  /// Plans the windows of one frame from its row-major (grid_h, grid_w)
+  /// plane of cell scores; a cell is positive when its score is >=
+  /// `threshold`. Returns false, leaving `plan` empty, when no cell is
+  /// positive: the detector can skip the frame.
+  bool Plan(const float* scores, double threshold, WindowPlan* plan);
+
+ private:
+  models::DetectorArch arch_;
+  OrderedWindowSizes sizes_;
+  double frame_w_;  // Detector-resolution frame size.
+  double frame_h_;
+  double scale_;
+  CellGrid grid_;
+};
 
 }  // namespace otif::core
 

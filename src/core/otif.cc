@@ -234,15 +234,11 @@ void Otif::SelectWindows() {
     const track::FrameDetections dets = models::FilterByConfidence(
         detector.Detect(clip, f, theta_best_.detector_scale),
         theta_best_.detector_confidence);
+    // Labels are exactly 0 or 1, so any threshold in (0, 1] reads them.
     const nn::Tensor labels = proxy.MakeLabels(dets, spec_.width, spec_.height);
-    CellGrid grid;
-    grid.grid_w = proxy.resolution().grid_w();
-    grid.grid_h = proxy.resolution().grid_h();
-    grid.positive.assign(static_cast<size_t>(grid.grid_w) * grid.grid_h, 0);
-    for (int64_t i = 0; i < labels.size(); ++i) {
-      grid.positive[static_cast<size_t>(i)] = labels[i] > 0.5f ? 1 : 0;
-    }
-    grids.push_back(std::move(grid));
+    grids.push_back(CellGrid::FromScores(labels.data(),
+                                         proxy.resolution().grid_w(),
+                                         proxy.resolution().grid_h(), 0.5));
   }
   WindowSizeSelector selector(spec_.width, spec_.height,
                               WindowSizeSelector::Options{});

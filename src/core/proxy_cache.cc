@@ -4,6 +4,7 @@
 
 #include "util/logging.h"
 #include "util/telemetry.h"
+#include "util/trace.h"
 
 namespace otif::core {
 namespace {
@@ -25,6 +26,15 @@ const CacheTelemetry& GetCacheTelemetry() {
       telemetry::MetricsRegistry::Global().GetCounter("proxy_cache.evictions"),
   };
   return t;
+}
+
+// Frames per batched proxy invocation, recorded where the model is invoked.
+telemetry::Histogram* ProxyInvocationFrames() {
+  static telemetry::Histogram* const h =
+      telemetry::MetricsRegistry::Global().GetHistogram(
+          "proxy.invocation_frames",
+          {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
+  return h;
 }
 
 }  // namespace
@@ -129,6 +139,42 @@ double ProxyScoreCache::hit_rate() const {
 size_t ProxyScoreCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return frames_held_;
+}
+
+// --- ScoreFrames -------------------------------------------------------------
+
+void ScoreFrames(
+    const ProxyScoreCache& cache, ProxyScoreTable* table,
+    const models::ProxyModel& proxy, const std::vector<int>& frames,
+    const std::function<const video::Image&(size_t)>& render,
+    std::vector<const float*>* planes) {
+  planes->resize(frames.size());
+  std::vector<size_t> missing;  // Allocates only when a lookup misses.
+  {
+    OTIF_SPAN("proxy/score");
+    for (size_t i = 0; i < frames.size(); ++i) {
+      (*planes)[i] = table->Find(frames[i]);
+      if ((*planes)[i] == nullptr) missing.push_back(i);
+    }
+  }
+  cache.RecordLookups(static_cast<int64_t>(frames.size() - missing.size()),
+                      static_cast<int64_t>(missing.size()));
+  if (missing.empty()) return;
+  std::vector<const video::Image*> images;
+  images.reserve(missing.size());
+  for (size_t i : missing) {
+    OTIF_SPAN("proxy/render");
+    images.push_back(&render(i));
+  }
+  OTIF_SPAN("proxy/score");
+  const std::vector<nn::Tensor> fresh = proxy.ScoreBatch(images);
+  if (telemetry::Enabled()) {
+    ProxyInvocationFrames()->Record(static_cast<double>(images.size()));
+  }
+  for (size_t m = 0; m < missing.size(); ++m) {
+    const size_t i = missing[m];
+    (*planes)[i] = table->Insert(frames[i], fresh[m]);
+  }
 }
 
 }  // namespace otif::core

@@ -8,9 +8,12 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "mem/buffer_pool.h"
+#include "models/proxy.h"
 #include "nn/tensor.h"
+#include "video/image.h"
 
 namespace otif::core {
 
@@ -147,6 +150,17 @@ class ProxyScoreCache {
   mutable std::atomic<int64_t> misses_{0};
   mutable std::atomic<int64_t> evictions_{0};
 };
+
+/// The proxy's one scoring path, shared by ProxyStage and the tuner: sets
+/// planes[i] to the scores of frames[i] in `table`. Only lookup misses are
+/// rendered (`render(i)`, under proxy/render), scored in one ScoreBatch and
+/// inserted; lookups and scoring run under proxy/score, and `cache` counts
+/// the hits and misses once per call.
+void ScoreFrames(
+    const ProxyScoreCache& cache, ProxyScoreTable* table,
+    const models::ProxyModel& proxy, const std::vector<int>& frames,
+    const std::function<const video::Image&(size_t)>& render,
+    std::vector<const float*>* planes);
 
 }  // namespace otif::core
 

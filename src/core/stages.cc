@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -19,16 +18,8 @@ namespace {
 // GOP size (frames between I-frames) assumed for decode-cost accounting.
 constexpr int kGopSize = 16;
 
-// Frames per batched model invocation, recorded at the point the model is
-// actually invoked.
-telemetry::Histogram* ProxyInvocationFrames() {
-  static telemetry::Histogram* const h =
-      telemetry::MetricsRegistry::Global().GetHistogram(
-          "proxy.invocation_frames",
-          {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
-  return h;
-}
-
+// Frames per batched detector invocation, recorded at the point the model
+// is actually invoked.
 telemetry::Histogram* DetectInvocationFrames() {
   static telemetry::Histogram* const h =
       telemetry::MetricsRegistry::Global().GetHistogram(
@@ -144,49 +135,18 @@ void DecodeStage::BeginClip(PipelineResult* result) {
 ProxyStage::ProxyStage(const PipelineConfig& config,
                        const TrainedModels* trained, const sim::Clip& clip,
                        const models::DetectorArch& arch)
-    : config_(config),
-      trained_(config.use_proxy ? trained : nullptr),
-      clip_(clip),
-      arch_(arch) {
+    : config_(config), trained_(config.use_proxy ? trained : nullptr) {
   if (trained_ == nullptr) return;
   proxy_ = trained_->proxies[static_cast<size_t>(
                                  config_.proxy_resolution_index)]
                .get();
   const models::ProxyResolution& res = proxy_->resolution();
   table_ = trained_->proxy_cache.Table(
-      clip_.clip_seed(), config_.proxy_resolution_index, clip_.num_frames(),
+      clip.clip_seed(), config_.proxy_resolution_index, clip.num_frames(),
       res.grid_w() * res.grid_h());
-  const double scale = config_.detector_scale;
-  std::vector<WindowSize> scaled;
-  for (const WindowSize& s : trained_->window_sizes) {
-    scaled.push_back(WindowSize{static_cast<int>(std::ceil(s.w * scale)),
-                                static_cast<int>(std::ceil(s.h * scale))});
-  }
-  scaled_sizes_.emplace(std::move(scaled));
-  scaled_w_ = clip_.spec().width * scale;
-  scaled_h_ = clip_.spec().height * scale;
-}
-
-void ProxyStage::ComputeWindows(const float* scores, FrameContext* ctx) {
-  const models::ProxyResolution& res = proxy_->resolution();
-  const CellGrid grid = CellGrid::FromScores(scores, res.grid_w(),
-                                             res.grid_h(),
-                                             config_.proxy_threshold);
-  if (grid.CountPositive() == 0) {
-    // Nothing in the frame: downstream stages skip the detector entirely.
-    ctx->skip_detector = true;
-    return;
-  }
-  OTIF_SPAN("proxy/group_cells");
-  const GroupingResult grouping =
-      GroupCells(grid, *scaled_sizes_, arch_, scaled_w_, scaled_h_);
-  ctx->window_sizes.reserve(grouping.windows.size());
-  for (const PlacedWindow& w : grouping.windows) {
-    ctx->window_sizes.push_back(w.size);
-  }
-  ctx->windows = WindowsToNativeRects(grouping, scaled_w_, scaled_h_,
-                                      grid.grid_w, grid.grid_h,
-                                      config_.detector_scale);
+  planner_.emplace(trained_->window_sizes, arch, clip.spec().width,
+                   clip.spec().height, config_.detector_scale, res.grid_w(),
+                   res.grid_h());
 }
 
 Status ProxyStage::ProcessBatch(const std::vector<FrameContext*>& batch,
@@ -198,48 +158,29 @@ Status ProxyStage::ProcessBatch(const std::vector<FrameContext*>& batch,
                                         &retries_);
     if (!st.ok()) return Status::Unavailable(st.message());
   }
-  planes_.resize(batch.size());
-  missing_.clear();
-  {
-    OTIF_SPAN("proxy/score");
-    for (size_t i = 0; i < batch.size(); ++i) {
-      // Marked before any pixel request: it selects the proxy resolution.
-      batch[i]->proxy_ran = true;
-      planes_[i] = table_->Find(batch[i]->frame);
-      if (planes_[i] == nullptr) missing_.push_back(i);
-    }
+  frames_.clear();
+  for (FrameContext* ctx : batch) {
+    // Marked before any pixel request: it selects the proxy resolution.
+    ctx->proxy_ran = true;
+    frames_.push_back(ctx->frame);
   }
-  trained_->proxy_cache.RecordLookups(
-      static_cast<int64_t>(batch.size() - missing_.size()),
-      static_cast<int64_t>(missing_.size()));
-  if (!missing_.empty()) {
-    // Only the cache misses need pixels: render them, then score them in
-    // one batched network invocation.
-    std::vector<const video::Image*> frames;
-    frames.reserve(missing_.size());
-    for (size_t i : missing_) {
-      OTIF_SPAN("proxy/render");
-      frames.push_back(&batch[i]->LowResFrame());
-    }
-    OTIF_SPAN("proxy/score");
-    const std::vector<nn::Tensor> fresh = proxy_->ScoreBatch(frames);
-    if (telemetry::Enabled()) {
-      ProxyInvocationFrames()->Record(static_cast<double>(frames.size()));
-    }
-    for (size_t m = 0; m < missing_.size(); ++m) {
-      const size_t i = missing_[m];
-      planes_[i] = table_->Insert(batch[i]->frame, fresh[m]);
-    }
-  }
+  ScoreFrames(
+      trained_->proxy_cache, table_.get(), *proxy_, frames_,
+      [&batch](size_t i) -> const video::Image& {
+        return batch[i]->LowResFrame();
+      },
+      &planes_);
 
-  // One fixed charge per frame, in frame order.
+  // One fixed charge per frame, in frame order. A frame with no positive
+  // cell skips the detector entirely.
   const models::CostConstants& costs = models::DefaultCostConstants();
   const double frame_seconds =
       costs.proxy_sec_per_frame +
       costs.proxy_sec_per_pixel * proxy_->resolution().world_pixels();
   for (size_t i = 0; i < batch.size(); ++i) {
     result->clock.Charge(models::CostCategory::kProxy, frame_seconds);
-    ComputeWindows(planes_[i], batch[i]);
+    batch[i]->skip_detector = !planner_->Plan(
+        planes_[i], config_.proxy_threshold, &batch[i]->windows);
   }
   return Status::OK();
 }
@@ -285,7 +226,7 @@ Status DetectStage::ProcessBatch(const std::vector<FrameContext*>& batch,
     const std::vector<track::FrameDetections> dets = invoke(windowed);
     for (size_t i = 0; i < windowed.size(); ++i) {
       windowed[i]->detections =
-          models::FilterByWindows(dets[i], windowed[i]->windows);
+          models::FilterByWindows(dets[i], windowed[i]->windows.rects);
     }
     // Windows come from the fixed trained size set W, so the batch's
     // windows group into few distinct shapes; each shape batches into one
@@ -294,7 +235,7 @@ Status DetectStage::ProcessBatch(const std::vector<FrameContext*>& batch,
     double pixel_seconds = 0.0;
     std::vector<WindowSize> shapes;
     for (FrameContext* ctx : windowed) {
-      for (const WindowSize& s : ctx->window_sizes) {
+      for (const WindowSize& s : ctx->windows.sizes) {
         pixel_seconds +=
             arch.sec_per_pixel * static_cast<double>(s.w) * s.h;
         if (std::find(shapes.begin(), shapes.end(), s) == shapes.end()) {

@@ -69,12 +69,11 @@ struct FrameContext {
   bool proxy_ran = false;
   /// Proxy saw an empty frame: the detector can be skipped entirely.
   bool skip_detector = false;
-  /// Native-coordinate detector windows covering positive proxy cells.
-  std::vector<geom::BBox> windows;
-  /// Detector-resolution sizes of the placed windows (drawn from the fixed
-  /// trained set W, scaled). DetectStage uses these to count distinct window
+  /// Detector windows covering positive proxy cells: native-coordinate
+  /// rects, and their detector-resolution sizes (drawn from the fixed
+  /// trained set W, scaled), which DetectStage uses to count distinct window
   /// shapes when amortizing per-invocation overhead.
-  std::vector<WindowSize> window_sizes;
+  WindowPlan windows;
 
   // --- Written by DetectStage ---
   /// Confidence-filtered detections for this frame.
@@ -104,8 +103,8 @@ struct FrameContext {
     proxy_ran = false;
     skip_detector = false;
     low_res_ready_ = false;
-    windows.clear();
-    window_sizes.clear();
+    windows.sizes.clear();
+    windows.rects.clear();
     detections.clear();
   }
 
@@ -164,20 +163,18 @@ class DecodeStage : public Stage {
   const sim::Clip& clip_;
 };
 
-/// Runs the segmentation proxy model: looks up each frame's cell scores in
-/// the clip's table of the shared ProxyScoreCache, renders and scores only
-/// the misses, groups positive cells into detector windows, and publishes
-/// the windows. A cache hit needs no pixels, so a frame whose scores are
-/// cached is never rendered here. No-op when the proxy is disabled.
+/// Runs the segmentation proxy model: scores each batch through ScoreFrames
+/// against the clip's table of the shared ProxyScoreCache (only misses are
+/// rendered, so a cached frame needs no pixels), then plans each frame's
+/// detector windows with a WindowPlanner. No-op when the proxy is disabled.
 class ProxyStage : public Stage {
  public:
-  /// Fetches the clip's score table once, for the whole run.
+  /// Fetches the clip's score table and builds the planner once per run.
   ProxyStage(const PipelineConfig& config, const TrainedModels* trained,
              const sim::Clip& clip, const models::DetectorArch& arch);
 
-  /// Looks up every frame in the table (lock-free), renders the misses and
-  /// scores them in one batched network invocation, then groups cells per
-  /// frame. Hits and misses reach the cache counters once per batch. In a
+  /// Scores the batch in one ScoreFrames call (one batched network
+  /// invocation over the misses), then plans each frame's windows. In a
   /// fault run, a proxy.invoke fault that persists for kMaxFaultAttempts
   /// returns kUnavailable: the clip can still run without the proxy.
   Status ProcessBatch(const std::vector<FrameContext*>& batch,
@@ -187,27 +184,17 @@ class ProxyStage : public Stage {
   int retries() const { return retries_; }
 
  private:
-  /// Post-scoring work: threshold the frame's cell scores and group them
-  /// into detector windows.
-  void ComputeWindows(const float* scores, FrameContext* ctx);
-
   const PipelineConfig& config_;
   const TrainedModels* trained_;  // Null iff the proxy is disabled.
-  const sim::Clip& clip_;
-  const models::DetectorArch& arch_;
   const models::ProxyModel* proxy_ = nullptr;
   /// This clip's scores at the configured resolution.
   std::shared_ptr<ProxyScoreTable> table_;
+  std::optional<WindowPlanner> planner_;
   int retries_ = 0;
-  /// Window sizes scaled to the detector resolution (W is selected in
-  /// native coordinates; windows shrink with the frame), ordered once.
-  std::optional<OrderedWindowSizes> scaled_sizes_;
-  double scaled_w_ = 0.0;
-  double scaled_h_ = 0.0;
-  /// Per-batch scratch, kept across batches: each frame's scores and the
-  /// batch indices that missed.
+  /// Per-batch scratch, kept across batches: the frame indices and each
+  /// frame's scores.
+  std::vector<int> frames_;
   std::vector<const float*> planes_;
-  std::vector<size_t> missing_;
 };
 
 /// Runs the (simulated) object detector: inside the proxy's windows when

@@ -73,9 +73,9 @@ void Tuner::CacheDetectionModule(const PipelineConfig& theta_best) {
 void Tuner::CacheProxyModule(const PipelineConfig& theta_best) {
   OTIF_SPAN("tuner/cache_proxy");
   // For every (resolution, threshold): score validation frames (cached in
-  // TrainedModels), group cells into windows, and record the windowed
-  // detector cost relative to a full-frame pass plus the recall against
-  // theta_best detections (Sec 3.5.2).
+  // TrainedModels), plan their windows, and record the windowed detector
+  // cost relative to a full-frame pass plus the recall against theta_best
+  // detections (Sec 3.5.2).
   const sim::DatasetSpec& spec = (*validation_)[0].spec();
   const models::DetectorArch arch = models::ArchByName(
       models::StandardDetectorArchs(), theta_best.detector_arch);
@@ -84,58 +84,52 @@ void Tuner::CacheProxyModule(const PipelineConfig& theta_best) {
   const models::CostConstants& costs = models::DefaultCostConstants();
   models::SimulatedDetector detector(arch);
 
-  // Sample frames across the validation clips (bounded for cache cost).
+  // Sample frames across the validation clips (bounded for cache cost) and
+  // label each once with theta_best detections (the best automatic labels);
+  // neither depends on the resolution or the threshold.
   const int stride = std::max(theta_best.sampling_gap, 8);
-  const OrderedWindowSizes window_sizes(trained_->window_sizes);
-  for (size_t res = 0; res < trained_->proxies.size(); ++res) {
-    models::ProxyModel* proxy = trained_->proxies[res].get();
-    const models::ProxyResolution& resolution = proxy->resolution();
-    // Pre-score sampled frames once per resolution: look each clip's
-    // sampled frames up in its score table, then render and score only the
-    // misses in one batched invocation. The handles keep the tables (and so
-    // the score pointers) valid even if the cache evicts them.
-    struct FrameScore {
-      const sim::Clip* clip;
-      int frame;
-      const float* scores;
-    };
-    std::vector<std::shared_ptr<ProxyScoreTable>> tables;
-    std::vector<FrameScore> scored;
-    for (const sim::Clip& clip : *validation_) {
-      std::shared_ptr<ProxyScoreTable> table = trained_->proxy_cache.Table(
-          clip.clip_seed(), static_cast<int>(res), clip.num_frames(),
-          resolution.grid_w() * resolution.grid_h());
-      const size_t first = scored.size();
-      std::vector<size_t> missing;
-      for (int f = 0; f < clip.num_frames(); f += stride) {
-        const float* scores = table->Find(f);
-        if (scores == nullptr) missing.push_back(scored.size());
-        scored.push_back({&clip, f, scores});
-      }
-      trained_->proxy_cache.RecordLookups(
-          static_cast<int64_t>(scored.size() - first - missing.size()),
-          static_cast<int64_t>(missing.size()));
-      if (!missing.empty()) {
-        sim::Rasterizer raster(&clip);
-        std::vector<video::Image> images(missing.size());
-        std::vector<const video::Image*> frames;
-        frames.reserve(missing.size());
-        for (size_t m = 0; m < missing.size(); ++m) {
-          OTIF_SPAN("proxy/render");
-          raster.RenderInto(scored[missing[m]].frame, resolution.raster_w(),
-                            resolution.raster_h(), &images[m]);
-          frames.push_back(&images[m]);
-        }
-        const std::vector<nn::Tensor> fresh = proxy->ScoreBatch(frames);
-        for (size_t m = 0; m < missing.size(); ++m) {
-          FrameScore& fs = scored[missing[m]];
-          fs.scores = table->Insert(fs.frame, fresh[m]);
-        }
-      }
-      tables.push_back(std::move(table));
+  struct ClipSample {
+    const sim::Clip* clip;
+    std::vector<int> frames;
+    std::vector<track::FrameDetections> labels;
+    // Scores at the current resolution, valid while the table handle lives.
+    std::shared_ptr<ProxyScoreTable> table;
+    std::vector<const float*> planes;
+  };
+  std::vector<ClipSample> samples;
+  for (const sim::Clip& clip : *validation_) {
+    ClipSample sample{&clip, {}, {}, nullptr, {}};
+    for (int f = 0; f < clip.num_frames(); f += stride) {
+      sample.frames.push_back(f);
+      sample.labels.push_back(models::FilterByConfidence(
+          detector.Detect(clip, f, theta_best.detector_scale),
+          theta_best.detector_confidence));
     }
-    // Thresholds only re-read the shared scores; profile them in parallel
-    // and append in threshold order (tie-breaking below scans in order).
+    samples.push_back(std::move(sample));
+  }
+
+  for (size_t res = 0; res < trained_->proxies.size(); ++res) {
+    const models::ProxyModel& proxy = *trained_->proxies[res];
+    const models::ProxyResolution& resolution = proxy.resolution();
+    for (ClipSample& sample : samples) {
+      sample.table = trained_->proxy_cache.Table(
+          sample.clip->clip_seed(), static_cast<int>(res),
+          sample.clip->num_frames(),
+          resolution.grid_w() * resolution.grid_h());
+      sim::Rasterizer raster(sample.clip);
+      std::vector<video::Image> images(sample.frames.size());
+      ScoreFrames(
+          trained_->proxy_cache, sample.table.get(), proxy, sample.frames,
+          [&](size_t i) -> const video::Image& {
+            raster.RenderInto(sample.frames[i], resolution.raster_w(),
+                              resolution.raster_h(), &images[i]);
+            return images[i];
+          },
+          &sample.planes);
+    }
+    // Thresholds only re-read the shared scores; profile them in parallel,
+    // one planner per task, and append in threshold order (tie-breaking
+    // below scans in order).
     const std::vector<double> thresholds = StandardProxyThresholds();
     std::vector<ProxyProfile> profiles = ParallelMap(
         ThreadPool::Default(), static_cast<int64_t>(thresholds.size()),
@@ -146,31 +140,22 @@ void Tuner::CacheProxyModule(const PipelineConfig& theta_best) {
           profile.threshold = threshold;
           profile.proxy_sec_per_frame =
               costs.proxy_sec_per_frame +
-              costs.proxy_sec_per_pixel * proxy->resolution().world_pixels();
+              costs.proxy_sec_per_pixel * resolution.world_pixels();
+          WindowPlanner planner(trained_->window_sizes, arch, spec.width,
+                                spec.height, 1.0, resolution.grid_w(),
+                                resolution.grid_h());
+          WindowPlan plan;
           double cost_sum = 0.0;
           double recall_sum = 0.0;
           int frames = 0;
-          for (const FrameScore& fs : scored) {
-            const CellGrid grid =
-                CellGrid::FromScores(fs.scores, resolution.grid_w(),
-                                     resolution.grid_h(), threshold);
-            GroupingResult grouping;
-            std::vector<geom::BBox> rects;
-            if (grid.CountPositive() > 0) {
-              grouping = GroupCells(grid, window_sizes, arch, spec.width,
-                                    spec.height);
-              rects = WindowsToNativeRects(grouping, spec.width, spec.height,
-                                           grid.grid_w, grid.grid_h, 1.0);
+          for (const ClipSample& sample : samples) {
+            for (size_t k = 0; k < sample.frames.size(); ++k) {
+              planner.Plan(sample.planes[k], threshold, &plan);
+              cost_sum += plan.est_seconds / full_cost;
+              recall_sum +=
+                  track::DetectionCoverage(sample.labels[k], plan.rects);
+              ++frames;
             }
-            cost_sum += grouping.est_seconds / full_cost;
-            // Recall against theta_best detections (the best automatic
-            // labels).
-            const track::FrameDetections dets = models::FilterByConfidence(
-                detector.Detect(*fs.clip, fs.frame,
-                                theta_best.detector_scale),
-                theta_best.detector_confidence);
-            recall_sum += track::DetectionCoverage(dets, rects);
-            ++frames;
           }
           profile.relative_detector_cost =
               frames > 0 ? cost_sum / frames : 1.0;
